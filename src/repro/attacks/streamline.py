@@ -13,8 +13,9 @@ Faithful protocol details carried over from the paper's description of
 Streamline:
 
 - **pseudorandom traversal** — a sequential walk would let the stream
-  prefetchers fill lines ahead of the receiver and fake hits; the shared
-  shuffled order defeats them;
+  prefetchers fill lines ahead of the receiver and fake hits; a shared
+  seeded permutation of the array defeats them (both sides draw only the
+  prefix the message walks, see :func:`shared_order`);
 - **redundancy** — each bit spans ``redundancy`` lines, majority-voted
   (Streamline's error-margin coding; also what the §5.1 analytical bound
   charges);
@@ -31,7 +32,7 @@ Streamline authors measured on hardware.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.attacks.channel import (
     DECODE_CYCLES,
@@ -45,51 +46,27 @@ from repro.system import System
 #: A probe faster than this hit the LLC (shared-array line present).
 HIT_THRESHOLD_CYCLES = 100
 
-#: Process-level memo of shared traversal orders, keyed (total_lines,
-#: seed).  The shuffle is the single most expensive piece of building a
-#: Streamline channel (millions of indices at large LLC sizes).
-_ORDER_MEMO: dict = {}
 
+def shared_order(total_lines: int, seed: int, length: int) -> List[int]:
+    """The first ``length`` entries of the pre-agreed pseudorandom
+    traversal order: a seeded permutation of ``range(total_lines)``.
 
-def shared_order(total_lines: int, seed: int) -> List[int]:
-    """The pre-agreed pseudorandom traversal order of the shared array.
-
-    Bit-for-bit ``random.Random(seed).shuffle(list(range(total_lines)))``,
-    but deterministic in its inputs and expensive to build — so it is
-    memoized per process and persisted as a :mod:`repro.exp.warmstore`
-    artifact (as a compact typed array) when a store is active.  The
-    returned list is shared between callers and must be treated as
-    immutable.  ``REPRO_NO_WARMSTORE=1`` forces the from-scratch build.
+    A forward Fisher–Yates over a dict of the swapped positions draws only
+    the prefix the message walks, in O(``length``) time and memory however
+    large the shared array is.  The draw is prefix-consistent: a longer
+    ``length`` with the same seed starts with the shorter one, so sender
+    and receiver agree whatever length either side asks for.
     """
-    from array import array
-
-    from repro.exp import warmstore
-
-    if not warmstore.enabled():
-        order = list(range(total_lines))
-        random.Random(seed).shuffle(order)
-        return order
-    key = (total_lines, seed)
-    order = _ORDER_MEMO.get(key)
-    if order is not None:
-        warmstore.record_event("hits")
-        return order
-    store = warmstore.current()
-    recipe = ("streamline-order", total_lines, seed)
-    if store is not None:
-        loaded = store.load_artifact(recipe)
-        if not store.is_missing(loaded):
-            order = list(loaded)
-            _ORDER_MEMO[key] = order
-            return order
-    order = list(range(total_lines))
-    random.Random(seed).shuffle(order)
-    _ORDER_MEMO[key] = order
-    if store is not None:
-        store.store_artifact(recipe, array("l", order))
-    else:
-        warmstore.record_event("misses")
-    return order
+    if not 0 <= length <= total_lines:
+        raise ValueError("length must be within [0, total_lines]")
+    rng = random.Random(seed)
+    swaps: Dict[int, int] = {}
+    prefix: List[int] = []
+    for i in range(length):
+        j = rng.randrange(i, total_lines)
+        prefix.append(swaps.get(j, j))
+        swaps[j] = swaps.get(i, i)
+    return prefix
 
 
 def line_period_cycles(system: System) -> int:
@@ -136,22 +113,22 @@ class StreamlineChannel(CovertChannel):
         capacity = system.config.geometry.capacity_bytes
         self._base = capacity // 2  # far from other experiments' regions
         self._line = line
-        self._order = shared_order(total_lines, order_seed)
+        self.total_lines = total_lines
+        self.order_seed = order_seed
         self.line_period = line_period_cycles(system)
 
     def decode(self, latency: int) -> int:
         """Streamline inverts the usual convention: FAST (cache hit) = 1."""
         return 1 if latency < self.threshold_cycles else 0
 
-    def _addr(self, slot: int) -> int:
-        return self._base + self._order[slot % len(self._order)] * self._line
-
     def transmit(self, bits: Sequence[int]) -> ChannelResult:
         message = self.check_bits(bits)
         system = self.system
         total_slots = len(message) * self.redundancy
-        if total_slots + self.lag_line_slots > len(self._order):
+        if total_slots + self.lag_line_slots > self.total_lines:
             raise ValueError("message too long for the shared array")
+        addrs = [self._base + index * self._line for index in
+                 shared_order(self.total_lines, self.order_seed, total_slots)]
 
         sched = Scheduler()
         start_barrier = Barrier(parties=2, name="start")
@@ -168,7 +145,7 @@ class StreamlineChannel(CovertChannel):
                 yield None  # checkpoint: keep shared state in time order
                 bit = message[slot // self.redundancy]
                 if bit:
-                    sys_.load(ctx, core=0, addr=self._addr(slot),
+                    sys_.load(ctx, core=0, addr=addrs[slot],
                               is_write=True, requestor="sender")
                 ctx.advance(LOOP_OVERHEAD_CYCLES)
                 yield None
@@ -185,7 +162,7 @@ class StreamlineChannel(CovertChannel):
                 ctx.advance_to(deadline)
                 yield None  # checkpoint: keep shared state in time order
                 timer.start(ctx)
-                sys_.load(ctx, core=1, addr=self._addr(slot),
+                sys_.load(ctx, core=1, addr=addrs[slot],
                           requestor="receiver")
                 latency = timer.stop(ctx)
                 probe_latencies.append(latency)

@@ -330,6 +330,7 @@ class Cache:
             "dirty": [list(row) for row in self._dirty],
             "where": [dict(d) for d in self._where],
             "policy": self._policy.snapshot_state(),
+            "dirty_lines": self._dirty_lines,
             "stats": (s.hits, s.misses, s.fills, s.evictions,
                       s.writebacks, s.invalidations),
         }
@@ -350,7 +351,7 @@ class Cache:
         # wholesale-replaced tags; rebuild it on next use.
         self._np_stale = True
         self._np_pending.clear()
-        self._dirty_lines = sum(row.count(True) for row in self._dirty)
+        self._dirty_lines = state["dirty_lines"]
         self.stats = CacheStats(*state["stats"])
 
     @property

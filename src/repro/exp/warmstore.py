@@ -14,9 +14,9 @@ sweeps, and processes:
   silently invalidates every entry — warm state is never served across
   code changes, mirroring :class:`repro.exp.cache.ResultCache`.
 - **Artifact entries** hold deterministic derived objects that are
-  expensive to rebuild but independent of a live system — Streamline's
-  pseudorandom traversal order, Fig. 10's victim probe schedule, Fig. 11
-  reference streams — keyed by (recipe, code version) alone.
+  expensive to rebuild but independent of a live system — Fig. 10's
+  victim probe schedule, Fig. 11 reference streams — keyed by (recipe,
+  code version) alone.
 - A bounded in-memory LRU fronts the disk files, so a persistent sweep
   worker that has already loaded the 64 MB-LLC warm state serves every
   later point sharing that config without re-unpickling.

@@ -1,9 +1,12 @@
 """Tests for the simulated Streamline channel [115]."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import System, SystemConfig
 from repro.attacks import StreamlineChannel, streamline_upper_bound_mbps
+from repro.attacks.streamline import shared_order
 from repro.cache import HierarchyConfig
 from repro.dram import DRAMGeometry
 
@@ -80,28 +83,47 @@ def test_config_validation():
         make_channel(llc_mb=8.0, array_mb=8.0)  # array must outsize LLC
 
 
-def test_shared_order_is_the_seeded_shuffle_every_way(tmp_path, monkeypatch):
-    """The traversal order must be bit-for-bit the historical inline
-    shuffle on every path: kill switch, memo, and on-disk artifact."""
+@given(total=st.integers(min_value=1, max_value=5000),
+       seed=st.integers(min_value=0, max_value=2**32),
+       data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_shared_order_prefix_is_a_seeded_partial_permutation(total, seed,
+                                                             data):
+    short = data.draw(st.integers(min_value=0, max_value=total))
+    length = data.draw(st.integers(min_value=short, max_value=total))
+    prefix = shared_order(total, seed, length)
+    assert len(prefix) == length
+    assert len(set(prefix)) == length  # distinct entries
+    assert all(0 <= index < total for index in prefix)
+    assert shared_order(total, seed, length) == prefix  # deterministic
+    # Prefix-consistent: sender and receiver agree whatever length either
+    # side draws.
+    assert shared_order(total, seed, short) == prefix[:short]
+
+
+def test_shared_order_full_length_is_a_permutation():
+    order = shared_order(5000, 7, 5000)
+    assert sorted(order) == list(range(5000))
+    assert order != list(range(5000))  # actually shuffled
+    assert shared_order(5000, 8, 5000) != order  # seeded
+
+
+def test_shared_order_rejects_length_beyond_array():
+    with pytest.raises(ValueError):
+        shared_order(100, 1, 101)
+
+
+def test_transmit_never_builds_a_full_array_order(monkeypatch):
+    """A 64 MB-LLC channel draws only the prefix its message walks: no
+    shuffle of the ~4M-line shared array ever runs."""
     import random
 
-    from repro.attacks import streamline
-    from repro.exp import warmstore
+    def no_shuffle(self, x):
+        raise AssertionError("full-array shuffle built")
 
-    expected = list(range(5000))
-    random.Random(7).shuffle(expected)
-
-    monkeypatch.setenv("REPRO_NO_WARMSTORE", "1")
-    assert streamline.shared_order(5000, 7) == expected
-
-    monkeypatch.delenv("REPRO_NO_WARMSTORE")
-    monkeypatch.setenv("REPRO_WARMSTORE_DIR", str(tmp_path))
-    warmstore.reset_active_store()
-    streamline._ORDER_MEMO.pop((5000, 7), None)
-    assert streamline.shared_order(5000, 7) == expected  # built + stored
-    assert streamline.shared_order(5000, 7) == expected  # memo hit
-    streamline._ORDER_MEMO.pop((5000, 7), None)
-    warmstore.reset_active_store()
-    assert streamline.shared_order(5000, 7) == expected  # disk artifact
-    streamline._ORDER_MEMO.pop((5000, 7), None)
-    warmstore.reset_active_store()
+    monkeypatch.setattr(random.Random, "shuffle", no_shuffle)
+    channel = StreamlineChannel(
+        System(SystemConfig.paper_default().with_llc(64.0)))
+    assert channel.total_lines > 4_000_000
+    result = channel.transmit_random(192, seed=1)
+    assert len(result.received) == 192

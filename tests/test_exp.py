@@ -40,11 +40,17 @@ def pid_point(value):
 
 
 def warm_point(value):
-    """Touches the warm store via Streamline's shared traversal order."""
-    from repro.attacks.streamline import shared_order
+    """Touches the warm store through a direct artifact round trip: a miss
+    stores the value, a later run of the same point loads it."""
+    from repro.exp import warmstore
 
-    order = shared_order(20_000, value)
-    return {"value": value, "first": order[0], "n": len(order)}
+    store = warmstore.current()
+    recipe = ("test-warm-point", value)
+    loaded = store.load_artifact(recipe)
+    if store.is_missing(loaded):
+        loaded = {"double": value * 2}
+        store.store_artifact(recipe, loaded)
+    return {"value": value, **loaded}
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,8 @@ def _drive(system, count, seed_stride=7, start=0):
 def _clear_memos():
     """Reset every in-process warm memo, so later reuse must come from the
     on-disk store (what a fresh worker process would see)."""
-    from repro.attacks import streamline
     from repro.exp import figures
 
-    streamline._ORDER_MEMO.clear()
     figures._FIG10_SCHEDULES.clear()
     figures._FIG11_WARM = None
     clear_pristine_pool()
