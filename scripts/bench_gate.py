@@ -5,16 +5,11 @@ Measures the raw demand-access rate (the ``simulator`` section of the
 bench-quick record) fresh, compares it against the newest committed
 ``BENCH_PR*.json`` at the repo root, and fails when the fresh number
 drops more than ``--threshold`` (default 15%) below the committed one.
-When the committed record carries a ``simulator_miss_batch`` section
-(PR 7+), the vectorized miss engine's conflict-replay *speedup* (vector
-vs scalar, both measured fresh back-to-back so host-speed drift cancels
-out of the ratio) is gated against the recorded speedup — absolute
-ops/s on that row swings more than the threshold between runs on a
-shared single-vCPU runner, but the ratio is stable.  Each gate
-baselines against the newest committed record that carries *its* metric
-(snapshots grow sections over time), so a record missing one section
-skips that gate rather than erroring.  The committed ``sweep_engine``
-section (PR 10+) is additionally held to absolute acceptance floors:
+The gate baselines against the newest committed record that carries
+its metric (snapshots grow sections over time), so a record missing
+the section skips the gate rather than erroring.  The committed
+``sweep_engine`` section, where present, is additionally held to
+absolute acceptance floors:
 adaptive rep savings >=2x, straggler-re-dispatch p99 improvement >=1.5x,
 zero duplicate commits and zero event-chain errors.
 Intended as a cheap CI step — it runs only the simulator micro-bench
@@ -113,8 +108,7 @@ def measure(runs: int) -> dict:
         for _ in range(runs):
             system = System(SystemConfig.paper_default())
             started = time.perf_counter()
-            system.hierarchy.access_batch(0, addrs, 0, pc=0,
-                                          backend="vector")
+            system.hierarchy.access_batch(0, addrs, 0, pc=0)
             samples.append(n / (time.perf_counter() - started))
     finally:
         gc.unfreeze()
@@ -124,60 +118,6 @@ def measure(runs: int) -> dict:
         "samples": [round(s) for s in samples],
         "ops_per_sec": round(statistics.median(samples)),
     }
-
-
-def measure_miss_batch(runs: int) -> dict:
-    """Fresh miss-engine conflict-replay speedup: the same pattern as
-    bench-quick's ``simulator_miss_batch.conflict_replay`` row (see
-    ``scripts/bench_snapshot.py``).  Scalar and vector are *interleaved*
-    — ``runs`` back-to-back pairs, each pair yielding one vector/scalar
-    ratio — and the gate judges the best pair.  Both sides are
-    re-measured because absolute rates on a shared runner drift more
-    than the gate threshold between the snapshot and the check; pairing
-    adjacent-in-time samples makes the two sides see the same host
-    speed, so a slow window landing mid-measurement degrades one pair's
-    ratio, not the whole check (a best-of-each-side ratio is worse: the
-    two bests can come from different windows)."""
-    import dataclasses
-    import gc
-
-    from repro.config import SystemConfig
-    from repro.system import System
-
-    from bench_snapshot import conflict_replay_addrs
-
-    gc.collect()
-    gc.freeze()
-    n = 100_000
-    record = {"accesses": n, "runs": runs}
-    ratios = []
-    samples = {"scalar": [], "vector": []}
-    try:
-        for _ in range(runs):
-            pair = {}
-            for backend in ("scalar", "vector"):
-                config = SystemConfig.paper_default()
-                config = dataclasses.replace(
-                    config, hierarchy=dataclasses.replace(
-                        config.hierarchy, prefetchers_enabled=False))
-                system = System(config)
-                addrs = conflict_replay_addrs(system, n)
-                started = time.perf_counter()
-                system.hierarchy.access_batch(0, addrs, 0,
-                                              backend=backend)
-                pair[backend] = n / (time.perf_counter() - started)
-                samples[backend].append(round(pair[backend]))
-            ratios.append(pair["vector"] / pair["scalar"])
-    finally:
-        gc.unfreeze()
-    best = max(range(len(ratios)), key=lambda i: ratios[i])
-    record["scalar"] = {"samples": samples["scalar"],
-                        "ops_per_sec": samples["scalar"][best]}
-    record["vector"] = {"samples": samples["vector"],
-                        "ops_per_sec": samples["vector"][best]}
-    record["ratios"] = [round(r, 2) for r in ratios]
-    record["speedup"] = ratios[best]
-    return record
 
 
 def main(argv=None) -> int:
@@ -236,37 +176,6 @@ def main(argv=None) -> int:
                   f"committed record via `make bench-quick`.")
             print(_trajectory("simulator.ops_per_sec", fresh["ops_per_sec"]))
 
-    path, miss_baseline = newest_with(
-        records, "simulator_miss_batch.conflict_replay.speedup")
-    if path is None:
-        print("bench gate: no committed record carries the "
-              "simulator_miss_batch section (pre-PR 7); skipping the "
-              "miss-engine gate")
-    if miss_baseline is not None:
-        fresh_miss = measure_miss_batch(args.runs)
-        print(f"fresh miss-engine conflict replay: "
-              f"{fresh_miss['scalar']['ops_per_sec']:,} ops/s scalar vs "
-              f"{fresh_miss['vector']['ops_per_sec']:,} ops/s vector "
-              f"({fresh_miss['speedup']:.2f}x, best of "
-              f"{fresh_miss['runs']} interleaved pairs; ratios "
-              f"{', '.join(f'{r:.2f}' for r in fresh_miss['ratios'])})")
-        miss_floor = miss_baseline * (1.0 - args.threshold)
-        miss_ok = fresh_miss["speedup"] >= miss_floor
-        print(f"miss-engine baseline {os.path.basename(path)}: "
-              f"{miss_baseline:.2f}x speedup; floor at "
-              f"-{args.threshold:.0%}: {miss_floor:.2f}x -> "
-              f"{'OK' if miss_ok else 'FAIL'}")
-        if not miss_ok:
-            failed = True
-            drop = 1.0 - fresh_miss["speedup"] / miss_baseline
-            print(f"bench gate: miss-engine conflict-replay speedup "
-                  f"dropped {drop:.1%} vs {os.path.basename(path)} (limit "
-                  f"{args.threshold:.0%}). If the change intentionally "
-                  f"trades speed, refresh the committed record via "
-                  f"`make bench-quick`.")
-            print(_trajectory("miss.conflict_replay.speedup",
-                              fresh_miss["speedup"]))
-
     if not gate_sweep_engine(records):
         failed = True
     return 1 if failed else 0
@@ -289,7 +198,7 @@ SWEEP_ENGINE_FLOORS = [
 
 def gate_sweep_engine(records: "list") -> bool:
     """Validate the committed ``sweep_engine`` section against absolute
-    floors.  Unlike the hot-path gates this does not re-measure — the
+    floors.  Unlike the hot-path gate this does not re-measure — the
     numbers come from ``make bench-sweep`` (and the adaptive-smoke CI job
     re-proves the behaviour live); the gate keeps a committed snapshot
     from ever claiming less than the acceptance bars."""

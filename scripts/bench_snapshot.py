@@ -28,7 +28,6 @@ identical telemetry-off pass (acceptance: < 5% wall clock).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import os
@@ -198,13 +197,13 @@ def simulator_ops_per_sec() -> dict:
     """Raw hot-path rate: the 200k-access demand stream through the full
     hierarchy (cache lookups, replacement, prefetchers, DRAM timing).
 
-    Driven through ``access_batch`` with the vector backend on — the code
-    path the figure sweeps actually execute (this stream is miss-dominated,
-    so with prefetchers live the engine's sampling pre-check routes it to
-    the hoisted reference loop; hit-heavy streams take the bulk-commit path measured by
-    :func:`simulator_batch_ops_per_sec`).  Median of three runs on a
-    quiesced heap (see :func:`_quiesce_heap`) so the number tracks
-    access-path cost, not allocator history.
+    Driven through ``access_batch``, the batched loop that eviction walks
+    and replays use.  This is a synthetic strided stream, not a figure
+    workload: the figure sweeps spend most of their time in per-access
+    ``access`` calls from the scheduler and workload replays, which this
+    number does not measure.  Median of three runs on a quiesced heap
+    (see :func:`_quiesce_heap`) so the number tracks access-path cost,
+    not allocator history.
     """
     from repro.config import SystemConfig
     from repro.system import System
@@ -217,8 +216,7 @@ def simulator_ops_per_sec() -> dict:
         for _ in range(3):
             system = System(SystemConfig.paper_default())
             started = time.perf_counter()
-            system.hierarchy.access_batch(0, addrs, 0, pc=0,
-                                          backend="vector")
+            system.hierarchy.access_batch(0, addrs, 0, pc=0)
             runs.append(time.perf_counter() - started)
     finally:
         gc.unfreeze()
@@ -226,130 +224,9 @@ def simulator_ops_per_sec() -> dict:
     return {
         "accesses": n,
         "runs": len(runs),
-        "backend": "vector",
         "seconds": round(elapsed, 3),
         "ops_per_sec": round(n / elapsed),
     }
-
-
-def simulator_batch_ops_per_sec() -> dict:
-    """Batch hot path: scalar reference loop vs the numpy vector engine.
-
-    The workload is the receiver shape the vector engine targets — a
-    warmed 256-line probe array replayed for 200k hit-heavy accesses
-    (prefetchers off, the measurement posture every timed experiment
-    uses).  Median of three per backend on a quiesced heap; the vector
-    row is the BENCH_PR6 headline and what ``repro bench`` reports.
-    """
-    from repro.config import SystemConfig
-    from repro.system import System
-
-    _quiesce_heap()
-    n = 200_000
-    probe = [0x100000 + i * 64 for i in range(256)]
-    addrs = [probe[i & 255] for i in range(n)]
-    record = {"accesses": n, "pattern": "probe-array replay (256 lines)"}
-    try:
-        for backend in ("scalar", "vector"):
-            runs = []
-            for _ in range(3):
-                config = SystemConfig.paper_default()
-                config = dataclasses.replace(
-                    config, hierarchy=dataclasses.replace(
-                        config.hierarchy, prefetchers_enabled=False))
-                system = System(config)
-                system.hierarchy.access_batch(0, probe, 0, backend="scalar")
-                started = time.perf_counter()
-                system.hierarchy.access_batch(0, addrs, 10_000,
-                                              backend=backend)
-                runs.append(time.perf_counter() - started)
-            elapsed = statistics.median(runs)
-            record[backend] = {
-                "seconds": round(elapsed, 4),
-                "ops_per_sec": round(n / elapsed),
-            }
-    finally:
-        gc.unfreeze()
-    record["speedup"] = round(record["vector"]["ops_per_sec"]
-                              / record["scalar"]["ops_per_sec"], 2)
-    return record
-
-
-def conflict_replay_addrs(system, count):
-    """Bank-conflict-alternating replay, spread across cache sets.
-
-    Adjacent accesses alternate two rows of the same bank (every access
-    a row-buffer conflict — the covert-channel sender/receiver shape),
-    while the line addresses walk distinct sets so no cache level
-    filters the stream: every access is a full miss.  This is the
-    pattern the PR 7 miss engine bulk-commits.
-    """
-    nb = system.num_banks
-    addrs = []
-    for i in range(count):
-        bank = (i // 2) % nb
-        col = (i // (2 * nb)) % 128
-        pair = i // (2 * nb * 128)
-        row = 2 * pair + (i & 1)
-        addrs.append(system.address_of(bank, row % 4096, col * 64))
-    return addrs
-
-
-def simulator_miss_batch_ops_per_sec() -> dict:
-    """Miss-dominated batch hot path: scalar reference vs the vectorized
-    miss engine (PR 7 headline).
-
-    Two shapes, each 100k accesses with prefetchers off:
-
-    - ``conflict_replay`` — every access a full miss *and* a DRAM
-      row-buffer conflict (see :func:`conflict_replay_addrs`); the
-      acceptance pattern, gated at >=5x by ``scripts/bench_gate.py``.
-    - ``streaming_sweep`` — a sequential line sweep, the fig11
-      streaming shape.
-
-    Best of three per backend on a quiesced heap: the ratio of two
-    best-case samples is far more stable on a noisy shared runner than
-    a ratio of medians, and the engine's cost model is deterministic —
-    slower samples are scheduler noise, not the code under test.
-    """
-    from repro.config import SystemConfig
-    from repro.system import System
-
-    _quiesce_heap()
-    n = 100_000
-    record = {"accesses": n}
-    try:
-        for pattern in ("conflict_replay", "streaming_sweep"):
-            entry = {}
-            for backend in ("scalar", "vector"):
-                best = None
-                for _ in range(3):
-                    config = SystemConfig.paper_default()
-                    config = dataclasses.replace(
-                        config, hierarchy=dataclasses.replace(
-                            config.hierarchy, prefetchers_enabled=False))
-                    system = System(config)
-                    if pattern == "conflict_replay":
-                        addrs = conflict_replay_addrs(system, n)
-                    else:
-                        addrs = [0x2000000 + i * 64 for i in range(n)]
-                    started = time.perf_counter()
-                    system.hierarchy.access_batch(0, addrs, 0,
-                                                  backend=backend)
-                    elapsed = time.perf_counter() - started
-                    if best is None or elapsed < best:
-                        best = elapsed
-                entry[backend] = {
-                    "seconds": round(best, 4),
-                    "ops_per_sec": round(n / best),
-                }
-            entry["speedup"] = round(entry["vector"]["ops_per_sec"]
-                                     / entry["scalar"]["ops_per_sec"], 2)
-            record[pattern] = entry
-    finally:
-        gc.unfreeze()
-    record["speedup"] = record["conflict_replay"]["speedup"]
-    return record
 
 
 def scheduler_checkpoints_per_sec() -> dict:
@@ -455,23 +332,6 @@ def main(argv=None) -> int:
     print("timing simulator hot path...")
     record["simulator"] = simulator_ops_per_sec()
     print(f"simulator: {record['simulator']['ops_per_sec']:,} accesses/sec")
-
-    print("timing batch hot path (scalar vs vector)...")
-    record["simulator_batch"] = simulator_batch_ops_per_sec()
-    batch = record["simulator_batch"]
-    print(f"batch: {batch['scalar']['ops_per_sec']:,}/sec scalar vs "
-          f"{batch['vector']['ops_per_sec']:,}/sec vector "
-          f"({batch['speedup']}x)")
-
-    print("timing miss-dominated batch hot path (scalar vs vector)...")
-    record["simulator_miss_batch"] = simulator_miss_batch_ops_per_sec()
-    miss = record["simulator_miss_batch"]
-    for pattern in ("conflict_replay", "streaming_sweep"):
-        entry = miss[pattern]
-        print(f"miss batch [{pattern}]: "
-              f"{entry['scalar']['ops_per_sec']:,}/sec scalar vs "
-              f"{entry['vector']['ops_per_sec']:,}/sec vector "
-              f"({entry['speedup']}x)")
 
     print("timing scheduler checkpoints...")
     record["scheduler"] = scheduler_checkpoints_per_sec()

@@ -11,12 +11,6 @@ from repro.cache.replacement import (
     make_replacement_policy,
 )
 
-try:  # numpy backs the optional vector engine (repro.sim.vector); the
-    # scalar path never touches it and must work without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
-
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -128,21 +122,6 @@ class Cache:
             self._rrpv = None
             self._max_rrpv = 0
             self._insert_rrpv = 0
-        # Lazy numpy mirror of ``_tags`` for the vector engine
-        # (repro.sim.vector).  ``None`` until :meth:`tag_matrix` is first
-        # called, so the scalar path pays nothing; afterwards the tag-
-        # changing operations log (set, way, line) patches into
-        # ``_np_pending`` and wholesale restores flip ``_np_stale``.
-        self._np_tags = None
-        self._np_pending: List[tuple] = []
-        self._np_stale = False
-        # Count of dirty lines currently resident.  The vector miss
-        # engine's bulk commit is only legal when a cache is provably
-        # all-clean (no victim anywhere in a span can trigger a
-        # write-back), and scanning every set's dirty row per span would
-        # cost more than the commit itself — so every dirty-bit
-        # transition maintains this counter instead.
-        self._dirty_lines = 0
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -186,10 +165,7 @@ class Cache:
         else:
             self._policy_on_hit(set_index, way)
         if is_write:
-            dirty_row = self._dirty[set_index]
-            if not dirty_row[way]:
-                dirty_row[way] = True
-                self._dirty_lines += 1
+            self._dirty[set_index][way] = True
         self.stats.hits += 1
         return True
 
@@ -210,10 +186,7 @@ class Cache:
             else:
                 self._policy_on_hit(set_index, existing)
             if dirty:
-                dirty_row = self._dirty[set_index]
-                if not dirty_row[existing]:
-                    dirty_row[existing] = True
-                    self._dirty_lines += 1
+                self._dirty[set_index][existing] = True
             return None
         valid = self._valid[set_index]
         if rrpv_all is not None:
@@ -243,15 +216,10 @@ class Cache:
             stats.evictions += 1
             if old_dirty:
                 stats.writebacks += 1
-                self._dirty_lines -= 1
         tags[way] = line
         where[line] = way
         valid[way] = True
         dirty_bits[way] = dirty
-        if dirty:
-            self._dirty_lines += 1
-        if self._np_tags is not None:
-            self._np_pending.append((set_index, way, line))
         if rrpv_all is not None:
             rrpv_all[set_index][way] = self._insert_rrpv
         else:
@@ -269,45 +237,11 @@ class Cache:
         if way is None:
             return None
         dirty = self._dirty[set_index][way]
-        if dirty:
-            self._dirty_lines -= 1
         self._valid[set_index][way] = False
         self._dirty[set_index][way] = False
         self._tags[set_index][way] = -1
-        if self._np_tags is not None:
-            self._np_pending.append((set_index, way, -1))
         self.stats.invalidations += 1
         return dirty
-
-    def tag_matrix(self):
-        """Numpy view of the per-set tag arrays, shape ``(sets, ways)``,
-        ``-1`` marking invalid ways (the scalar tags use the same
-        sentinel, so the mirror is value-identical to ``_tags``).
-
-        Lazy and patch-coherent: built on first call, then kept in sync
-        by replaying the ``(set, way, line)`` patches :meth:`fill` and
-        :meth:`invalidate` log; a wholesale :meth:`restore_state` or a
-        patch backlog above a third of the matrix triggers a full
-        rebuild (the miss engine logs one patch per fill, so a large
-        cache must absorb a whole chunk's worth of patches by replay —
-        only a backlog comparable to the matrix itself is worth the
-        wholesale ``np.array`` conversion).  Only the vector engine
-        calls this — a cache that never sees a vector batch never
-        allocates the mirror.
-        """
-        mirror = self._np_tags
-        if (mirror is None or self._np_stale
-                or len(self._np_pending) * 3 > self._num_sets * self._ways):
-            mirror = _np.array(self._tags, dtype=_np.int64)
-            self._np_tags = mirror
-            self._np_stale = False
-            self._np_pending.clear()
-            return mirror
-        if self._np_pending:
-            for set_index, way, line in self._np_pending:
-                mirror[set_index, way] = line
-            self._np_pending.clear()
-        return mirror
 
     def resident_lines(self, set_index: int) -> List[int]:
         """Line addresses currently resident in ``set_index`` (testing aid)."""
@@ -330,7 +264,6 @@ class Cache:
             "dirty": [list(row) for row in self._dirty],
             "where": [dict(d) for d in self._where],
             "policy": self._policy.snapshot_state(),
-            "dirty_lines": self._dirty_lines,
             "stats": (s.hits, s.misses, s.fills, s.evictions,
                       s.writebacks, s.invalidations),
         }
@@ -347,11 +280,6 @@ class Cache:
             dst_map.clear()
             dst_map.update(src_map)
         self._policy.restore_state(state["policy"])
-        # The numpy tag mirror (vector engine) no longer matches the
-        # wholesale-replaced tags; rebuild it on next use.
-        self._np_stale = True
-        self._np_pending.clear()
-        self._dirty_lines = state["dirty_lines"]
         self.stats = CacheStats(*state["stats"])
 
     @property

@@ -29,17 +29,6 @@ class ReplacementPolicy:
         """Update state after a hit on ``way``."""
         raise NotImplementedError
 
-    def on_hit_run(self, sets, ways) -> None:
-        """Bulk :meth:`on_hit` over parallel ``(sets, ways)`` numpy int
-        arrays in chronological order (the vector engine's hit runs).
-
-        The base implementation replays per element — exact for any
-        policy; subclasses override with closed forms.  Must leave state
-        bit-identical to the element-by-element sequence.
-        """
-        for set_index, way in zip(sets.tolist(), ways.tolist()):
-            self.on_hit(set_index, way)
-
     def on_fill(self, set_index: int, way: int) -> None:
         """Update state after filling a new line into ``way``."""
         raise NotImplementedError
@@ -47,40 +36,6 @@ class ReplacementPolicy:
     def victim(self, set_index: int, valid: List[bool]) -> int:
         """Choose the way to evict (an invalid way is preferred)."""
         raise NotImplementedError
-
-    def select_victims_bulk(self, sets, invalid_ways):
-        """Victim way per set for a batch of pending fills — the miss-path
-        companion to :meth:`on_hit_run` (used by ``repro.sim.vector``).
-
-        ``sets`` is a numpy int array of set indices; ``invalid_ways[i]``
-        is the first invalid way of ``sets[i]`` (or ``-1`` when the set is
-        full), precomputed by the caller from its tag mirror.  Returns a
-        numpy int array of victim ways.
-
-        Contract for the LRU/SRRIP overrides: the computation is **pure**
-        — it reads replacement state but never writes it.  Fill-time
-        transitions (LRU stamping, SRRIP aging + insert) are applied by
-        the caller per committed element, so planning victims for
-        elements that never commit leaves no trace.  The caller must only
-        consult entries whose set state is unchanged since the call (in
-        practice: the first occurrence of each set in the batch).
-
-        The base implementation replays :meth:`victim`, which **may
-        mutate** stateful policies (e.g. :class:`RandomPolicy` advances
-        its RNG) — the vector engine therefore only bulk-plans for
-        LRU/SRRIP and computes other policies' victims inline at fill
-        time.
-        """
-        import numpy as np
-
-        ways = self.ways
-        out = []
-        for set_index, invalid in zip(sets.tolist(), invalid_ways.tolist()):
-            if invalid >= 0:
-                out.append(invalid)
-            else:
-                out.append(self.victim(set_index, [True] * ways))
-        return np.asarray(out, dtype=np.int64)
 
     def snapshot_state(self):
         """Copied replacement metadata for warm-state snapshots."""
@@ -114,49 +69,12 @@ class LRUPolicy(ReplacementPolicy):
 
     on_fill = on_hit
 
-    def on_hit_run(self, sets, ways) -> None:
-        """Bulk LRU touch: ``k`` sequential hits stamp ``base+1..base+k``;
-        a way touched several times keeps only its *last* stamp, so one
-        write per distinct way at its last-occurrence position reproduces
-        the per-element sequence exactly."""
-        k = len(sets)
-        base = self._stamp
-        width = self.ways
-        last_use = self._last_use
-        if k < 24:
-            stamp = base
-            for set_index, way in zip(sets.tolist(), ways.tolist()):
-                stamp += 1
-                last_use[set_index][way] = stamp
-        else:
-            import numpy as np
-
-            flat = sets * width + ways
-            reversed_flat = flat[::-1]
-            uniq, rev_index = np.unique(reversed_flat, return_index=True)
-            positions = k - 1 - rev_index
-            for slot, pos in zip(uniq.tolist(), positions.tolist()):
-                last_use[slot // width][slot % width] = base + pos + 1
-        self._stamp = base + k
-
     def victim(self, set_index: int, valid: List[bool]) -> int:
         invalid = self._first_invalid(valid)
         if invalid is not None:
             return invalid
         uses = self._last_use[set_index]
         return uses.index(min(uses))
-
-    def select_victims_bulk(self, sets, invalid_ways):
-        """Pure bulk LRU victims: row-wise argmin over the gathered
-        last-use stamps.  ``argmin`` breaks ties at the first occurrence,
-        exactly like ``uses.index(min(uses))``."""
-        import numpy as np
-
-        last_use = self._last_use
-        rows = np.array([last_use[s] for s in sets.tolist()],
-                        dtype=np.int64)
-        victims = rows.argmin(axis=1).astype(np.int64)
-        return np.where(invalid_ways >= 0, invalid_ways, victims)
 
     def snapshot_state(self):
         return self._stamp, [list(row) for row in self._last_use]
@@ -185,21 +103,6 @@ class SRRIPPolicy(ReplacementPolicy):
     def on_hit(self, set_index: int, way: int) -> None:
         self._rrpv[set_index][way] = 0
 
-    def on_hit_run(self, sets, ways) -> None:
-        """Bulk SRRIP promote: hits are idempotent (RRPV := 0), so one
-        write per distinct (set, way) suffices in any order."""
-        if len(sets) < 24:
-            rrpv = self._rrpv
-            for set_index, way in zip(sets.tolist(), ways.tolist()):
-                rrpv[set_index][way] = 0
-            return
-        import numpy as np
-
-        width = self.ways
-        rrpv = self._rrpv
-        for slot in np.unique(sets * width + ways).tolist():
-            rrpv[slot // width][slot % width] = 0
-
     def on_fill(self, set_index: int, way: int) -> None:
         self._rrpv[set_index][way] = self.MAX_RRPV - 1
 
@@ -217,22 +120,6 @@ class SRRIPPolicy(ReplacementPolicy):
             # in one shot — equivalent to repeated +1 rounds.
             step = max_rrpv - max(rrpvs)
             rrpvs[:] = [r + step for r in rrpvs]
-
-    def select_victims_bulk(self, sets, invalid_ways):
-        """Pure bulk SRRIP victims: for each gathered RRPV row, one-shot
-        aging by ``MAX_RRPV - max(row)`` then the first way at the
-        maximum — the closed form of :meth:`victim`'s age-and-rescan
-        loop, computed without touching the stored RRPVs (the caller
-        applies aging + insert at fill time, where ``Cache.fill``'s
-        inlined SRRIP body recomputes the aging exactly)."""
-        import numpy as np
-
-        rrpv = self._rrpv
-        rows = np.array([rrpv[s] for s in sets.tolist()], dtype=np.int64)
-        step = self.MAX_RRPV - rows.max(axis=1)
-        victims = (rows + step[:, None] == self.MAX_RRPV).argmax(axis=1)
-        return np.where(invalid_ways >= 0, invalid_ways,
-                        victims.astype(np.int64))
 
     def snapshot_state(self):
         return [list(row) for row in self._rrpv]
@@ -252,9 +139,6 @@ class RandomPolicy(ReplacementPolicy):
         self._rng = random.Random(seed)
 
     def on_hit(self, set_index: int, way: int) -> None:
-        pass
-
-    def on_hit_run(self, sets, ways) -> None:
         pass
 
     def on_fill(self, set_index: int, way: int) -> None:

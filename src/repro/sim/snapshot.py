@@ -20,13 +20,6 @@ Design rules:
 - A snapshot is only valid for the :class:`~repro.system.System` (or an
   identically configured one) that produced it; restoring across
   configurations raises.
-- Derived acceleration state is *not* captured: the numpy tag mirrors the
-  vector backend keeps on each :class:`~repro.cache.cache.Cache` are a
-  cache of ``_tags``, and ``Cache.restore_state`` marks them stale so the
-  next :meth:`~repro.cache.cache.Cache.tag_matrix` call rebuilds from the
-  restored scalar tags.  Snapshots therefore stay backend-agnostic — a
-  snapshot taken under the scalar engine replays identically under the
-  vector engine and vice versa.
 """
 
 from __future__ import annotations

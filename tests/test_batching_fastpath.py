@@ -1,11 +1,13 @@
 """Equivalence tests: batched operations, the scheduler run-to-block fast
 path, and BackgroundNoise window semantics."""
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.config import SystemConfig
+from repro.exp.warmstore import WarmStore
 from repro.sim import Barrier, DeadlockError, Scheduler, Semaphore
 from repro.system import BackgroundNoise, System
 
@@ -19,30 +21,120 @@ def _addrs(count, stride=64, mod=1 << 21, mul=5):
     return [(i * stride * mul) % mod for i in range(count)]
 
 
-def test_access_batch_matches_chained_accesses():
-    addrs = _addrs(4000)
+def _config(replacement="srrip", prefetchers=True, mapping="row",
+            refresh=False):
+    """Paper config with a small L2/LLC, so a few thousand accesses reach
+    LLC evictions, back-invalidations and DRAM write-backs."""
+    config = SystemConfig.paper_default()
+    hier = dataclasses.replace(
+        config.hierarchy, l2_size_kb=64, llc_size_mb=0.25,
+        prefetchers_enabled=prefetchers,
+        l1_replacement=replacement, l2_replacement=replacement,
+        llc_replacement=replacement)
+    return dataclasses.replace(config, hierarchy=hier, mapping=mapping,
+                               refresh_enabled=refresh)
+
+
+def _mixed_stream(rng, system, count):
+    """Probe-array replay hits, same-bank row-conflict bursts, short-range
+    reuse and sequential sweeps, in random order: every hit level, DRAM
+    row hits and conflicts, evictions and write-backs."""
+    probe = [0x100000 + i * 64 for i in range(256)]
+    nb = system.num_banks
+    addrs = []
+    pair = 0
+    while len(addrs) < count:
+        roll = rng.random()
+        if roll < 0.35:
+            addrs.extend(rng.choice(probe)
+                         for _ in range(rng.randrange(20, 120)))
+        elif roll < 0.65:
+            for _ in range(rng.randrange(40, 200)):
+                bank = (pair // 2) % nb
+                col = (pair // (2 * nb)) % 128
+                row = 2 * (pair // (2 * nb * 128)) + (pair & 1)
+                addrs.append(system.address_of(bank, row % 4096, col * 64))
+                pair += 1
+        elif roll < 0.80 and addrs:
+            addrs.extend(rng.choice(addrs[-300:])
+                         for _ in range(rng.randrange(20, 120)))
+        else:
+            base = rng.randrange(0, 1 << 22) * 64
+            addrs.extend(base + t * 64
+                         for t in range(rng.randrange(30, 150)))
+    return addrs[:count]
+
+
+def _chain(hierarchy, addrs, now, **kwargs):
+    """Reference: one :meth:`access` per address, each issued at the
+    previous finish."""
+    for addr in addrs:
+        now = hierarchy.access(0, addr, now, **kwargs).finish
+    return now
+
+
+@pytest.mark.parametrize("replacement,prefetchers,mapping,refresh,sanitize", [
+    ("lru", True, "row", False, False),
+    ("lru", False, "xor", True, False),
+    ("srrip", True, "line", True, True),
+    ("srrip", False, "row", False, False),
+    ("random", True, "xor", False, False),
+    ("random", False, "line", True, True),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_access_batch_matches_chained_accesses(replacement, prefetchers,
+                                               mapping, refresh, sanitize,
+                                               seed):
+    config = _config(replacement, prefetchers, mapping, refresh)
+    loop_sys = System(config, sanitize=False)
+    batch_sys = System(config, sanitize=sanitize)
+    addrs = _mixed_stream(random.Random(seed), loop_sys, 3000)
+    writes = addrs[: len(addrs) // 3]
+    now = _chain(loop_sys.hierarchy, addrs, 100, pc=7, requestor="recv")
+    now = _chain(loop_sys.hierarchy, writes, now, is_write=True,
+                 requestor="send")
+    batch = batch_sys.hierarchy.access_batch
+    finish = batch(0, addrs, 100, pc=7, requestor="recv")
+    finish = batch(0, writes, finish, is_write=True, requestor="send")
+    assert finish == now
+    assert batch_sys.snapshot().payload == loop_sys.snapshot().payload
+
+
+@pytest.mark.parametrize("count", [1, 8, 63, 200])
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_access_batch_takes_short_batches_and_generators(count,
+                                                         as_generator):
+    addrs = _addrs(count, mul=3)
     loop_sys = System(SystemConfig.paper_default())
     batch_sys = System(SystemConfig.paper_default())
-    now = 100
-    for addr in addrs:
-        result = loop_sys.hierarchy.access(0, addr, now, pc=7,
-                                           requestor="cpu")
-        now = result.finish
-    batch_finish = batch_sys.hierarchy.access_batch(0, addrs, 100, pc=7,
-                                                    requestor="cpu")
-    assert batch_finish == now
-    assert (batch_sys.hierarchy.stats.demand_accesses
-            == loop_sys.hierarchy.stats.demand_accesses)
-    assert (batch_sys.hierarchy.llc.stats.misses
-            == loop_sys.hierarchy.llc.stats.misses)
-    assert (batch_sys.controller.requestor_stats.keys()
-            == loop_sys.controller.requestor_stats.keys())
-    for name, stats in loop_sys.controller.requestor_stats.items():
-        other = batch_sys.controller.requestor_stats[name]
-        assert (stats.reads, stats.hits, stats.conflicts) == \
-            (other.reads, other.hits, other.conflicts)
-    assert batch_sys.snapshot().payload["hierarchy"] == \
-        loop_sys.snapshot().payload["hierarchy"]
+    now = _chain(loop_sys.hierarchy, addrs, 0)
+    finish = batch_sys.hierarchy.access_batch(
+        0, (a for a in addrs) if as_generator else addrs, 0)
+    assert finish == now
+    assert batch_sys.snapshot().payload == loop_sys.snapshot().payload
+
+
+@pytest.mark.parametrize("via_warm_store", [False, True])
+def test_snapshot_restore_replay_matches_uninterrupted_run(via_warm_store,
+                                                           tmp_path):
+    config = _config(prefetchers=False)
+    system = System(config)
+    addrs = _mixed_stream(random.Random(3), system, 6000)
+    mid = system.hierarchy.access_batch(0, addrs[:3000], 0, requestor="recv")
+    snap = system.snapshot()
+    if via_warm_store:
+        WarmStore(str(tmp_path), version="v-test").store_snapshot(
+            snap, recipe=("replay-test",))
+        snap = WarmStore(str(tmp_path), version="v-test").load_snapshot(
+            config, ("replay-test",))
+        assert snap is not None
+    fresh = System(config)
+    fresh.restore(snap)
+    tail = system.hierarchy.access_batch(0, addrs[3000:], mid,
+                                         requestor="recv")
+    assert fresh.hierarchy.access_batch(0, addrs[3000:], mid,
+                                        requestor="recv") == tail
+    assert fresh.snapshot().payload == system.snapshot().payload
 
 
 def test_load_many_matches_load_loop():
@@ -68,35 +160,6 @@ def test_load_many_matches_load_loop():
     assert thread_a.now == thread_b.now
     assert (loop_sys.hierarchy.llc.stats.misses
             == batch_sys.hierarchy.llc.stats.misses)
-
-
-def test_probe_many_matches_individual_latencies():
-    addrs = _addrs(600, mul=3)
-    loop_sys = System(SystemConfig.paper_default())
-    batch_sys = System(SystemConfig.paper_default())
-
-    loop_latencies = []
-
-    def loop_body(ctx):
-        for addr in addrs:
-            result = loop_sys.load(ctx, 0, addr, requestor="cpu")
-            loop_latencies.append(result.latency)
-        yield None
-
-    batch_latencies = []
-
-    def batch_body(ctx):
-        batch_latencies.extend(
-            batch_sys.probe_many(ctx, 0, addrs, requestor="cpu"))
-        yield None
-
-    sched = Scheduler()
-    sched.spawn(loop_body)
-    sched.run()
-    sched = Scheduler()
-    sched.spawn(batch_body)
-    sched.run()
-    assert loop_latencies == batch_latencies
 
 
 # ----------------------------------------------------------------------

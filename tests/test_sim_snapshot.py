@@ -53,15 +53,11 @@ def test_cache_snapshot_round_trip_is_independent_copy():
     # Mutate heavily after the snapshot, then restore.
     for i in range(64, 160):
         cache.fill(i * 64, dirty=True)
-    dirty_before = cache._dirty_lines
     cache.restore_state(state)
     after = [cache.resident_lines(s) for s in range(cache.config.num_sets)]
     assert before == after
-    # The dirty-line count travels with the snapshot instead of being
-    # recounted on restore; it must still agree with a recount.
-    assert cache._dirty_lines == sum(row.count(True) for row in cache._dirty)
-    assert cache._dirty_lines == state["dirty_lines"] > 0
-    assert cache._dirty_lines != dirty_before
+    assert cache._dirty == state["dirty"]
+    assert any(True in row for row in state["dirty"])
     # The snapshot payload is not aliased by the live cache: mutating the
     # restored cache must not corrupt the saved state.
     cache.fill(999 * 64)
