@@ -177,16 +177,15 @@ def _quiesce_heap() -> None:
     """Drop sweep leftovers and stop the GC from scanning what remains.
 
     The figure sweeps that run before the micro-benches leave large
-    resident heaps (the pristine-system pool, warm-state payloads, sweep
-    results).  Generational GC then scans those heaps from inside the
-    timed loops — measured at a ~13% ops/s penalty on the simulator
-    hot path (the PR2->PR5 "regression" was exactly this, not access-path
-    code).  Clearing the pools and freezing survivors takes the heap out
+    resident heaps (warm-state payloads, sweep results).  Generational GC
+    then scans those heaps from inside the timed loops — measured at a
+    ~13% ops/s penalty on the simulator hot path (the PR2->PR5
+    "regression" was exactly this, not access-path code).  Dropping the
+    warm store and worker pool and freezing survivors takes the heap out
     of collection entirely."""
     from repro.exp import shutdown_pool
-    from repro.exp.warmstore import clear_pristine_pool, reset_active_store
+    from repro.exp.warmstore import reset_active_store
 
-    clear_pristine_pool()
     reset_active_store()
     shutdown_pool()
     gc.collect()
@@ -230,8 +229,7 @@ def simulator_ops_per_sec() -> dict:
 
 
 def scheduler_checkpoints_per_sec() -> dict:
-    """Scheduler micro-bench: checkpoint-dense threads, fast path vs the
-    heap-only slow path (``fast_path=False``)."""
+    """Scheduler micro-bench: checkpoint-dense threads through the heap."""
     from repro.sim import Scheduler
 
     def body(ctx, steps):
@@ -241,23 +239,19 @@ def scheduler_checkpoints_per_sec() -> dict:
 
     steps = 50_000
     threads = 4
-    record = {}
-    for label, fast in (("fast_path", True), ("slow_path", False)):
-        sched = Scheduler(fast_path=fast)
-        for t in range(threads):
-            # Staggered starts keep one thread globally minimal for long
-            # stretches — the run-to-block pattern the attacks exhibit.
-            sched.spawn(body, steps, name=f"t{t}", start_time=t * steps)
-        started = time.perf_counter()
-        sched.run()
-        elapsed = time.perf_counter() - started
-        record[label] = {
-            "checkpoints": steps * threads,
-            "seconds": round(elapsed, 3),
-            "checkpoints_per_sec": round(steps * threads / elapsed),
-            "fast_resumes": sched.fast_resumes,
-        }
-    return record
+    sched = Scheduler()
+    for t in range(threads):
+        # Staggered starts keep one thread globally minimal for long
+        # stretches, the checkpoint pattern the attacks exhibit.
+        sched.spawn(body, steps, name=f"t{t}", start_time=t * steps)
+    started = time.perf_counter()
+    sched.run()
+    elapsed = time.perf_counter() - started
+    return {
+        "checkpoints": steps * threads,
+        "seconds": round(elapsed, 3),
+        "checkpoints_per_sec": round(steps * threads / elapsed),
+    }
 
 
 def snapshot_restore_speedup() -> dict:
@@ -335,9 +329,8 @@ def main(argv=None) -> int:
 
     print("timing scheduler checkpoints...")
     record["scheduler"] = scheduler_checkpoints_per_sec()
-    fast = record["scheduler"]["fast_path"]["checkpoints_per_sec"]
-    slow = record["scheduler"]["slow_path"]["checkpoints_per_sec"]
-    print(f"scheduler: {fast:,}/sec fast path vs {slow:,}/sec slow path")
+    rate = record["scheduler"]["checkpoints_per_sec"]
+    print(f"scheduler: {rate:,} checkpoints/sec")
 
     print("timing warm-up vs snapshot restore...")
     record["snapshot"] = snapshot_restore_speedup()

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.cache.replacement import (
     ReplacementPolicy,
     SRRIPPolicy,
     make_replacement_policy,
+    restore_flat,
 )
 
 
@@ -85,12 +86,13 @@ class CacheStats:
 class Cache:
     """One cache level; addresses are physical byte addresses.
 
-    Each set keeps two views of its contents: a way-indexed tag array
-    (``-1`` for invalid ways; physical line numbers are non-negative) for
-    victim bookkeeping, and a ``{line: way}`` dict for lookups.  The dict
-    makes hits *and* misses a single O(1) probe — the miss path previously
-    paid a full ``list.index`` scan plus a raised ``ValueError``, squarely
-    on the simulator's hottest path.
+    State is flat, one list per field over every way of every set: way
+    ``w`` of set ``s`` is slot ``s * ways + w``.  ``_tags`` holds each
+    slot's physical line number, ``-1`` for an invalid way (line numbers
+    are non-negative); ``_dirty`` its dirty bit.  One ``{line: slot}``
+    dict serves lookups, so hits and misses are a single O(1) probe with
+    no per-set indexing.  A System is built from a handful of list
+    allocations however large the LLC.
     """
 
     def __init__(self, config: CacheConfig) -> None:
@@ -100,27 +102,24 @@ class Cache:
         self._num_sets = sets
         self._ways = ways
         self._line_bytes = config.line_bytes
-        self._tags: List[List[int]] = [[-1] * ways for _ in range(sets)]
-        self._valid: List[List[bool]] = [[False] * ways for _ in range(sets)]
-        self._dirty: List[List[bool]] = [[False] * ways for _ in range(sets)]
-        self._where: List[dict] = [{} for _ in range(sets)]
+        self._slots = sets * ways
+        self._tags: List[int] = [-1] * self._slots
+        self._dirty: List[bool] = [False] * self._slots
+        self._where: Dict[int, int] = {}
         self._policy: ReplacementPolicy = make_replacement_policy(
             config.replacement, sets, ways)
         self._policy_on_hit = self._policy.on_hit
         self._policy_on_fill = self._policy.on_fill
         self._policy_victim = self._policy.victim
         # SRRIP (L2/LLC in the Table 2 config) carries the bulk of fill
-        # traffic; alias its RRPV array so access/fill can update it inline
-        # instead of paying two policy calls per fill.  The alias shares
-        # the *row lists* with the policy object — anything restoring
-        # policy state must mutate those lists in place.
+        # traffic; alias its RRPV list so access/fill can update it inline
+        # instead of paying a policy call per hit and per fill.  Anything
+        # restoring policy state must mutate that list in place.
         if isinstance(self._policy, SRRIPPolicy):
-            self._rrpv: Optional[List[List[int]]] = self._policy._rrpv
-            self._max_rrpv = self._policy.MAX_RRPV
+            self._rrpv: Optional[List[int]] = self._policy._rrpv
             self._insert_rrpv = self._policy.MAX_RRPV - 1
         else:
             self._rrpv = None
-            self._max_rrpv = 0
             self._insert_rrpv = 0
         self.stats = CacheStats()
 
@@ -141,31 +140,24 @@ class Cache:
     # Operations
     # ------------------------------------------------------------------
 
-    def _find(self, addr: int) -> Optional[int]:
-        line = addr // self._line_bytes
-        return self._where[line % self._num_sets].get(line)
-
     def probe(self, addr: int) -> bool:
         """Presence check with no replacement-state side effects."""
-        line = addr // self._line_bytes
-        return line in self._where[line % self._num_sets]
+        return addr // self._line_bytes in self._where
 
     def access(self, addr: int, is_write: bool = False) -> bool:
         """Look up ``addr``; returns True on hit (updates replacement and
         dirty state). A miss does NOT allocate — call :meth:`fill`."""
-        line = addr // self._line_bytes
-        set_index = line % self._num_sets
-        way = self._where[set_index].get(line)
-        if way is None:
+        slot = self._where.get(addr // self._line_bytes)
+        if slot is None:
             self.stats.misses += 1
             return False
         rrpv = self._rrpv
         if rrpv is not None:
-            rrpv[set_index][way] = 0
+            rrpv[slot] = 0
         else:
-            self._policy_on_hit(set_index, way)
+            self._policy_on_hit(slot)
         if is_write:
-            self._dirty[set_index][way] = True
+            self._dirty[slot] = True
         self.stats.hits += 1
         return True
 
@@ -174,82 +166,67 @@ class Cache:
 
         Returns the evicted line (for writeback/back-invalidation) or None.
         Filling a line that is already present just refreshes its state.
+        The lowest invalid way is filled first; the policy picks a victim
+        only from a full set.
         """
         line = addr // self._line_bytes
-        set_index = line % self._num_sets
-        where = self._where[set_index]
-        existing = where.get(line)
-        rrpv_all = self._rrpv
-        if existing is not None:
-            if rrpv_all is not None:
-                rrpv_all[set_index][existing] = 0
+        where = self._where
+        slot = where.get(line)
+        rrpv = self._rrpv
+        if slot is not None:
+            if rrpv is not None:
+                rrpv[slot] = 0
             else:
-                self._policy_on_hit(set_index, existing)
+                self._policy_on_hit(slot)
             if dirty:
-                self._dirty[set_index][existing] = True
+                self._dirty[slot] = True
             return None
-        valid = self._valid[set_index]
-        if rrpv_all is not None:
-            # Inlined SRRIPPolicy.victim/on_fill (provably identical):
-            # invalid way first, else first way at MAX_RRPV after one-shot
-            # aging; insert the new line at MAX_RRPV - 1.
-            if False in valid:
-                way = valid.index(False)
-            else:
-                rrpvs = rrpv_all[set_index]
-                max_rrpv = self._max_rrpv
-                if max_rrpv not in rrpvs:
-                    step = max_rrpv - max(rrpvs)
-                    rrpvs[:] = [r + step for r in rrpvs]
-                way = rrpvs.index(max_rrpv)
-        else:
-            way = self._policy_victim(set_index, valid)
-        tags = self._tags[set_index]
-        dirty_bits = self._dirty[set_index]
-        stats = self.stats
+        ways = self._ways
+        base = line % self._num_sets * ways
+        end = base + ways
+        tags = self._tags
         evicted: Optional[EvictedLine] = None
-        if valid[way]:
-            old_line = tags[way]
-            del where[old_line]
-            old_dirty = dirty_bits[way]
-            evicted = EvictedLine(old_line * self._line_bytes, old_dirty)
-            stats.evictions += 1
-            if old_dirty:
-                stats.writebacks += 1
-        tags[way] = line
-        where[line] = way
-        valid[way] = True
-        dirty_bits[way] = dirty
-        if rrpv_all is not None:
-            rrpv_all[set_index][way] = self._insert_rrpv
+        # A full cache (the steady state of the small levels) has no
+        # invalid way to look for.
+        if len(where) < self._slots and -1 in tags[base:end]:
+            slot = tags.index(-1, base, end)
         else:
-            self._policy_on_fill(set_index, way)
-        stats.fills += 1
+            slot = self._policy_victim(base)
+            old_line = tags[slot]
+            del where[old_line]
+            old_dirty = self._dirty[slot]
+            evicted = EvictedLine(old_line * self._line_bytes, old_dirty)
+            self.stats.evictions += 1
+            if old_dirty:
+                self.stats.writebacks += 1
+        tags[slot] = line
+        where[line] = slot
+        self._dirty[slot] = dirty
+        if rrpv is not None:
+            rrpv[slot] = self._insert_rrpv
+        else:
+            self._policy_on_fill(slot)
+        self.stats.fills += 1
         return evicted
 
     def invalidate(self, addr: int) -> Optional[bool]:
         """Remove ``addr``'s line if present; returns its dirty bit
         (None if the line was not present). Used by clflush and by
         back-invalidation from an inclusive LLC."""
-        line = addr // self._line_bytes
-        set_index = line % self._num_sets
-        way = self._where[set_index].pop(line, None)
-        if way is None:
+        slot = self._where.pop(addr // self._line_bytes, None)
+        if slot is None:
             return None
-        dirty = self._dirty[set_index][way]
-        self._valid[set_index][way] = False
-        self._dirty[set_index][way] = False
-        self._tags[set_index][way] = -1
+        dirty = self._dirty[slot]
+        self._dirty[slot] = False
+        self._tags[slot] = -1
         self.stats.invalidations += 1
         return dirty
 
     def resident_lines(self, set_index: int) -> List[int]:
         """Line addresses currently resident in ``set_index`` (testing aid)."""
-        result = []
-        for way in range(self._ways):
-            if self._valid[set_index][way]:
-                result.append(self._tags[set_index][way] * self._line_bytes)
-        return result
+        base = set_index * self._ways
+        return [tag * self._line_bytes
+                for tag in self._tags[base:base + self._ways] if tag >= 0]
 
     def reset_stats(self) -> None:
         """Zero the counters; cache contents are kept."""
@@ -259,26 +236,21 @@ class Cache:
         """Full copied state: contents, replacement metadata, counters."""
         s = self.stats
         return {
-            "tags": [list(row) for row in self._tags],
-            "valid": [list(row) for row in self._valid],
-            "dirty": [list(row) for row in self._dirty],
-            "where": [dict(d) for d in self._where],
+            "tags": list(self._tags),
+            "dirty": list(self._dirty),
+            "where": dict(self._where),
             "policy": self._policy.snapshot_state(),
             "stats": (s.hits, s.misses, s.fills, s.evictions,
                       s.writebacks, s.invalidations),
         }
 
     def restore_state(self, state: dict) -> None:
-        """Restore :meth:`snapshot_state` output (copies on the way in)."""
-        for dst, src in zip(self._tags, state["tags"]):
-            dst[:] = src
-        for dst, src in zip(self._valid, state["valid"]):
-            dst[:] = src
-        for dst, src in zip(self._dirty, state["dirty"]):
-            dst[:] = src
-        for dst_map, src_map in zip(self._where, state["where"]):
-            dst_map.clear()
-            dst_map.update(src_map)
+        """Restore :meth:`snapshot_state` output (copies on the way in).
+        Raises ``ValueError`` if the snapshot's geometry differs."""
+        restore_flat(self._tags, state["tags"])
+        restore_flat(self._dirty, state["dirty"])
+        self._where.clear()
+        self._where.update(state["where"])
         self._policy.restore_state(state["policy"])
         self.stats = CacheStats(*state["stats"])
 

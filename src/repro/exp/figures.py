@@ -11,10 +11,10 @@ Results are bit-identical to the historical in-bench implementations:
 each point builds its own :class:`repro.system.System` from a config and
 all randomness is seeded per-config or per-call.
 
-Warm-state reuse: the fig8/fig10/fig11 points route their deterministic,
-expensive-to-rebuild pieces through :mod:`repro.exp.warmstore` — pristine
-systems (fig8), the victim probe schedule (fig10), reference streams and
-post-warm-up snapshots (fig11).
+Warm-state reuse: the fig10/fig11 points route their deterministic,
+expensive-to-rebuild pieces through :mod:`repro.exp.warmstore` — the
+victim probe schedule (fig10), reference streams and post-warm-up
+snapshots (fig11).  Every channel gets a freshly built machine.
 Reuse is pure: a point served from warm state is bit-identical to one
 built from scratch (``REPRO_NO_WARMSTORE=1`` forces the scratch path; the
 equivalence tests diff both).
@@ -73,10 +73,6 @@ def fig8_point(llc_mb: float) -> Dict[str, float]:
 
     base = SystemConfig.paper_default().with_llc(float(llc_mb))
     xor_base = replace(base, mapping="xor")
-    # pristine_system() reuses one pooled machine per config (restored to
-    # construction-time state between channels); channels run strictly one
-    # after another, so the aliasing is safe, and the pool self-bypasses
-    # under observers/sanitizer/metrics.
     point: Dict[str, float] = {}
     point["DRAMA-eviction"] = DramaEvictionChannel(pristine_system(xor_base)) \
         .transmit_random(64, seed=1).throughput_mbps
@@ -85,8 +81,7 @@ def fig8_point(llc_mb: float) -> Dict[str, float]:
     streamline = StreamlineChannel(pristine_system(base))
     point["Streamline"] = streamline.transmit_random(
         192, seed=1).throughput_mbps
-    # The bound reads only the config and clock, so the leased machine
-    # serves as is: no second pristine restore.
+    # The bound reads only the config and clock of the channel's machine.
     point["Streamline-bound"] = streamline_upper_bound_mbps(streamline.system)
     point["DMA-engine"] = DmaEngineChannel(pristine_system(base)) \
         .transmit_random(384, seed=1).throughput_mbps
@@ -164,8 +159,8 @@ def fig8_quality_point(llc_mb: float, bits: int = 128,
         if cli_name == "streamline":
             streamline_system = channel.system
     if "streamline" in names:
-        # The bound reads only the config and clock, so the Streamline
-        # channel's leased machine serves as is: no extra pristine restore.
+        # The bound reads only the config and clock of the Streamline
+        # channel's machine.
         out["attacks"]["Streamline-bound"] = {
             "throughput_mbps": streamline_upper_bound_mbps(
                 streamline_system)}

@@ -9,8 +9,8 @@ time, never numbers.
 
 Unlike the per-sweep ``ProcessPoolExecutor`` this replaced, the pool's
 workers survive across sweeps: each worker keeps its
-:mod:`repro.exp.warmstore` memory LRU of restored snapshots, its
-pristine-system pool, and its artifact memos, so a worker that has
+:mod:`repro.exp.warmstore` memory LRU of restored snapshots and its
+artifact memos, so a worker that has
 already warmed (or loaded) the 64 MB-LLC state serves every subsequent
 point sharing that config without re-warming or re-unpickling.  Because
 workers fork *before* later environment changes, every task carries a
@@ -125,8 +125,8 @@ class SweepOutcome:
     elapsed_seconds: float = 0.0
     fallback_reason: Optional[str] = None
     #: Warm-state reuse during the executed (non-result-cached) points:
-    #: snapshot/artifact loads and pristine-system restores served from
-    #: the :mod:`repro.exp.warmstore` layers vs. paid from scratch.
+    #: snapshot and artifact loads served from the
+    #: :mod:`repro.exp.warmstore` layers vs. paid from scratch.
     warm_hits: int = 0
     warm_misses: int = 0
     points: Sequence[SweepPoint] = field(default_factory=tuple)

@@ -26,10 +26,7 @@ from the store must be **bit-identical** to the same point re-warmed from
 scratch.  Everything here is therefore *pure reuse*: the store never
 changes what is computed, only whether a cached copy of the identical
 bytes is used.  ``REPRO_NO_WARMSTORE=1`` disables every layer (the
-randomized equivalence tests diff both modes), and the pristine-system
-pool refuses to serve whenever an observer, metrics registry, or the
-sanitizer is active — those attach at construction time and must see
-every event of a fresh machine.
+randomized equivalence tests diff both modes).
 
 Process-global discovery mirrors ``REPRO_TRACE_DIR``: when
 ``REPRO_WARMSTORE_DIR`` is set, :func:`current` returns a store rooted
@@ -60,7 +57,7 @@ _MISSING = object()
 DEFAULT_MEMORY_ENTRIES = 32
 
 #: Process-wide warm-reuse counters: every layer (disk store, memory LRU,
-#: pristine-system pool) records here, and the sweep runner diffs them
+#: artifact memos) records here, and the sweep runner diffs them
 #: around each point to fill ``SweepOutcome.warm_hits``/``warm_misses``.
 _COUNTS = {"hits": 0, "misses": 0}
 
@@ -81,7 +78,7 @@ def counters() -> Dict[str, int]:
 
 def enabled() -> bool:
     """False when ``REPRO_NO_WARMSTORE`` is set: every warm-reuse layer
-    (disk store, artifact memos, pristine pool) is bypassed, forcing the
+    (disk store, artifact memos) is bypassed, forcing the
     from-scratch execution path the equivalence tests compare against."""
     return os.environ.get("REPRO_NO_WARMSTORE", "") not in ("1", "true", "yes")
 
@@ -348,58 +345,13 @@ def reset_active_store() -> None:
     _ACTIVE_DIR = None
 
 
-# ---------------------------------------------------------------------------
-# Pristine-system pool (construction reuse inside one process)
-# ---------------------------------------------------------------------------
-
-#: Distinct configs pooled per process.  Each entry keeps one live System
-#: plus its construction-time snapshot; restore is ~10x cheaper than
-#: construction for large-LLC configs.
-_PRISTINE_LIMIT = 4
-
-_PRISTINE: "OrderedDict[Any, Tuple[Any, SystemSnapshot]]" = OrderedDict()
-
-
 def pristine_system(config: Any) -> Any:
-    """A system indistinguishable from ``System(config)``, reusing one
-    pooled instance per config where safe.
+    """A freshly constructed ``System(config)``.
 
-    The pool restores the pooled machine's construction-time snapshot, so
-    the caller always receives freshly-constructed state (including a
-    detached off-chip predictor).  Pooling is bypassed — a brand-new
-    ``System`` is returned — whenever an observer, a metrics registry, or
-    the sanitizer is active (they bind at construction and must see every
-    event), or when ``REPRO_NO_WARMSTORE`` disables warm reuse.
-
-    Callers must be done with the previous system for ``config`` before
-    requesting the next one: leases of the same config alias one object.
+    Building a System is a handful of flat list allocations, so nothing is
+    pooled.  The function stays because ``perfbench/spans.py`` wraps it by
+    name (its ``system.pristine`` layer).
     """
-    from repro import obs
     from repro.system import System
 
-    if (not enabled()
-            or obs.current_observer() is not None
-            or obs_metrics.current() is not None
-            or obs.sanitize_requested()):
-        return System(config)
-    entry = _PRISTINE.get(config)
-    if entry is None:
-        system = System(config)
-        _PRISTINE[config] = (system, system.snapshot())
-        while len(_PRISTINE) > _PRISTINE_LIMIT:
-            _PRISTINE.popitem(last=False)
-        record_event("misses")
-        return system
-    _PRISTINE.move_to_end(config)
-    system, snapshot = entry
-    # Pristine machines have no predictor; a previous lease (PnM-OffChip)
-    # may have attached one, which restore() would otherwise reject.
-    system.offchip_predictor = None
-    system.restore(snapshot)
-    record_event("hits")
-    return system
-
-
-def clear_pristine_pool() -> None:
-    """Drop pooled systems (tests that need fresh construction paths)."""
-    _PRISTINE.clear()
+    return System(config)

@@ -1,13 +1,12 @@
 """Simulation-as-a-service: the ``repro serve`` daemon and its client.
 
-The cache hierarchy the sweeps already use — result cache → warm store →
-pooled pristine systems on a persistent fork-server
-:class:`~repro.exp.runner.WorkerPool` — promoted into a long-running
-multi-tenant service.  Many concurrent clients submit experiment sweeps
-over a stdlib JSON-lines TCP protocol; the scheduler fair-shares the
-pool between them, deduplicates identical in-flight requests by the same
-content-hash keys the caches use, and streams per-point progress plus
-live metrics back to each client.
+The cache hierarchy the sweeps already use — result cache → warm store on
+a persistent fork-server :class:`~repro.exp.runner.WorkerPool` — promoted
+into a long-running multi-tenant service.  Many concurrent clients submit
+experiment sweeps over a stdlib JSON-lines TCP protocol; the scheduler
+fair-shares the pool between them, deduplicates identical in-flight
+requests by the same content-hash keys the caches use, and streams
+per-point progress plus live metrics back to each client.
 
 Layers:
 

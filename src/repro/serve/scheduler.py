@@ -30,9 +30,9 @@ them); its in-flight points finish and still populate the caches.
 
 The scheduler keeps a *local* :class:`~repro.obs.metrics.MetricsRegistry`
 rather than installing a process-global one: pool workers fork from the
-daemon, and a globally installed registry would ride along and disable
-their pristine-system pooling (see :func:`repro.exp.warmstore.
-pristine_system`).  The metrics endpoint merges this local registry with
+daemon, and a globally installed registry would ride along and attach a
+metrics observer to every System they build, counting into a forked copy
+nobody reads.  The metrics endpoint merges this local registry with
 :func:`repro.obs.metrics.snapshot` of whatever the process has installed.
 """
 

@@ -190,20 +190,14 @@ ThreadBody = Callable[..., Generator[Any, None, Any]]
 class Scheduler:
     """Runs simulated threads in virtual-time order until all complete.
 
-    The run loop has a *run-to-block fast path*: when the thread that just
-    yielded ``None`` (a checkpoint) is still globally minimal — its
-    ``(now, seq)`` orders before the heap head's key — it is resumed inline
-    instead of being pushed and immediately re-popped.  Checkpoint-dense
-    thread bodies (the attacks yield around every shared-hardware access)
-    skip two heap operations per checkpoint this way.  Virtual-time order
-    is unchanged: the fast path fires exactly when the heap would have
-    returned the same thread.  ``fast_path=False`` forces the heap-only
-    slow path (used by the equivalence tests).
+    Every resume goes through the heap: a thread that yields ``None`` (a
+    checkpoint) is pushed back at its ``(now, seq)`` key and runs again
+    when it is globally minimal.
     """
 
     _instances = 0
 
-    def __init__(self, fast_path: bool = True, observer: Any = None) -> None:
+    def __init__(self, observer: Any = None) -> None:
         Scheduler._instances += 1
         self._sched_id = Scheduler._instances
         self._heap: List[Tuple[int, int, SimThread]] = []
@@ -211,8 +205,6 @@ class Scheduler:
         self._blocked: Dict[int, SimThread] = {}
         self._blocked_on: Dict[int, str] = {}
         self._seq = 0
-        self.fast_path = fast_path
-        self.fast_resumes = 0
         self.max_time: int = 0
         # repro.obs hook: explicit observer, else the process-global one
         # (attack primitives build their schedulers internally, so `repro
@@ -262,44 +254,26 @@ class Scheduler:
         """
         heap = self._heap
         heappush, heappop = heapq.heappush, heapq.heappop
-        use_fast = self.fast_path
         obs = self._obs
         while heap:
-            now, _seq, thread = heappop(heap)
+            now, seq, thread = heappop(heap)
             if thread.finished:
                 continue
             if until is not None and now > until:
-                heappush(heap, (now, _seq, thread))
+                heappush(heap, (now, seq, thread))
                 break
             if obs is not None:
                 obs.on_thread_resume(thread.ctx.name, now, self._sched_id)
-            # Run-to-block: keep stepping this thread inline for as long as
-            # it only checkpoints and stays globally minimal.
-            generator = thread.generator
-            ctx = thread.ctx
-            seq = thread._seq
-            while True:
-                try:
-                    command = next(generator)
-                except StopIteration as stop:
-                    thread.finished = True
-                    thread.result = stop.value
-                    break
-                if command is None:
-                    ctx_now = ctx.now
-                    if use_fast and (until is None or ctx_now <= until):
-                        if not heap:
-                            self.fast_resumes += 1
-                            continue
-                        head = heap[0]
-                        if ctx_now < head[0] or (ctx_now == head[0]
-                                                 and seq < head[1]):
-                            self.fast_resumes += 1
-                            continue
-                    heappush(heap, (ctx_now, seq, thread))
-                    break
+            try:
+                command = next(thread.generator)
+            except StopIteration as stop:
+                thread.finished = True
+                thread.result = stop.value
+                continue
+            if command is None:
+                heappush(heap, (thread.ctx.now, seq, thread))
+            else:
                 self._dispatch(thread, command)
-                break
         if until is None and not heap and self._blocked:
             raise DeadlockError(
                 "all runnable threads finished; blocked: "
@@ -309,15 +283,6 @@ class Scheduler:
             )
         self.max_time = max((t.ctx.now for t in self._threads), default=0)
         return self.max_time
-
-    def _step(self, thread: SimThread) -> None:
-        try:
-            command = next(thread.generator)
-        except StopIteration as stop:
-            thread.finished = True
-            thread.result = stop.value
-            return
-        self._dispatch(thread, command)
 
     def _dispatch(self, thread: SimThread, command: Any) -> None:
         if command is None:

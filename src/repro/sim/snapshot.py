@@ -14,9 +14,12 @@ Design rules:
   (copied) payload and ``restore_state(payload)`` that copies *again* on
   the way in, so one snapshot supports any number of restores.
 - Restores mutate existing structures **in place** where other objects
-  alias them (e.g. :class:`~repro.cache.cache.Cache` aliases its SRRIP
-  policy's RRPV rows); replacing such lists wholesale would silently
-  decouple the aliases.
+  alias them: :class:`~repro.cache.cache.Cache` holds the same flat RRPV
+  list as its SRRIP policy, so the policy copies a snapshot into that
+  list (``rrpv[:] = saved``) rather than binding a new one, which would
+  leave the cache updating a list the policy no longer reads.  Such a
+  whole-list copy resizes the target silently, so flat-state restores
+  check the length first and raise ``ValueError`` on a mismatch.
 - A snapshot is only valid for the :class:`~repro.system.System` (or an
   identically configured one) that produced it; restoring across
   configurations raises.
@@ -27,34 +30,19 @@ from __future__ import annotations
 import pickle
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 #: Version of the on-disk snapshot wire format.  Bump whenever the
 #: component payload layout changes shape in a way ``restore_state``
 #: cannot absorb; readers treat a mismatched version as "no snapshot"
 #: rather than guessing at the old layout.
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
 
 _MAGIC = b"RPRSNAP1"
 
 
 class SnapshotFormatError(ValueError):
     """Raised when bytes are not a snapshot this build can read."""
-
-
-def copy_rows(rows: List[list]) -> List[list]:
-    """Shallow-copy a list of flat lists (the tag/valid/RRPV shape)."""
-    return [list(row) for row in rows]
-
-
-def restore_rows(dst: List[list], src: List[list]) -> None:
-    """Copy ``src`` rows into ``dst`` rows **in place** (alias-safe)."""
-    if len(dst) != len(src):
-        raise ValueError(
-            f"snapshot shape mismatch: {len(src)} rows vs {len(dst)}"
-        )
-    for dst_row, src_row in zip(dst, src):
-        dst_row[:] = src_row
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Equivalence tests: batched operations, the scheduler run-to-block fast
-path, and BackgroundNoise window semantics."""
+"""Equivalence tests: batched operations, bounded scheduler runs, and
+BackgroundNoise window semantics."""
 
 import dataclasses
 import random
@@ -8,7 +8,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.exp.warmstore import WarmStore
-from repro.sim import Barrier, DeadlockError, Scheduler, Semaphore
+from repro.sim import DeadlockError, Scheduler, Semaphore
 from repro.system import BackgroundNoise, System
 
 
@@ -163,102 +163,11 @@ def test_load_many_matches_load_loop():
 
 
 # ----------------------------------------------------------------------
-# Scheduler run-to-block fast path
+# Scheduler bounded runs and deadlock reporting
 # ----------------------------------------------------------------------
 
 
-def _random_workload(seed):
-    """Randomized deadlock-free plans mixing all three primitive kinds.
-
-    Barrier parties never acquire (a party stuck on the semaphore could
-    starve the barrier); every acquire is covered by a dedicated,
-    always-runnable releaser thread.
-    """
-    rng = random.Random(seed)
-    barrier_parties = rng.randint(2, 3)
-    plans = []
-    for _ in range(barrier_parties):
-        steps = []
-        for _ in range(rng.randint(5, 20)):
-            if rng.random() < 0.7:
-                steps.append(("advance", rng.randint(0, 9)))
-            else:
-                steps.append(("barrier",))
-        plans.append(steps)
-    # Barriers must be hit the same number of times by every party.
-    most = max(sum(s == ("barrier",) for s in plan) for plan in plans)
-    for t in range(barrier_parties):
-        short = most - sum(s == ("barrier",) for s in plans[t])
-        plans[t] = plans[t] + [("barrier",)] * short
-    acquires = 0
-    for _ in range(rng.randint(1, 2)):
-        steps = []
-        for _ in range(rng.randint(5, 20)):
-            if rng.random() < 0.7:
-                steps.append(("advance", rng.randint(0, 9)))
-            else:
-                steps.append(("acquire",))
-                acquires += 1
-        plans.append(steps)
-    releaser = []
-    for _ in range(acquires):
-        releaser.append(("advance", rng.randint(0, 9)))
-        releaser.append(("release",))
-    plans.append(releaser or [("advance", 1)])
-    return plans, barrier_parties
-
-
-def _run_plans(plans, barrier_parties, fast_path):
-    sched = Scheduler(fast_path=fast_path)
-    sem = Semaphore(initial=0, name="s")
-    barrier = Barrier(barrier_parties, name="b")
-    trace = []
-
-    def body(ctx, steps):
-        for step in steps:
-            if step[0] == "advance":
-                ctx.advance(step[1])
-                trace.append((ctx.name, ctx.now))
-                yield None
-            elif step[0] == "acquire":
-                yield sem.acquire()
-                trace.append((ctx.name, ctx.now, "acq"))
-            elif step[0] == "release":
-                yield sem.release()
-            else:
-                yield barrier.wait()
-                trace.append((ctx.name, ctx.now, "bar"))
-
-    for i, steps in enumerate(plans):
-        sched.spawn(body, steps, name=f"t{i}")
-    end = sched.run()
-    return end, trace, sched.fast_resumes
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_fast_and_slow_paths_produce_identical_traces(seed):
-    plans, parties = _random_workload(seed)
-    end_fast, trace_fast, resumes_fast = _run_plans(plans, parties, True)
-    end_slow, trace_slow, resumes_slow = _run_plans(plans, parties, False)
-    assert end_fast == end_slow
-    assert trace_fast == trace_slow
-    assert resumes_slow == 0  # slow path never takes the inline resume
-
-
-def test_fast_path_counts_inline_resumes():
-    sched = Scheduler()
-
-    def lone(ctx):
-        for _ in range(50):
-            ctx.advance(1)
-            yield None
-
-    sched.spawn(lone)
-    sched.run()
-    assert sched.fast_resumes == 50
-
-
-def test_bounded_run_is_resumable_with_fast_path():
+def test_bounded_run_is_resumable():
     sched = Scheduler()
     seen = []
 

@@ -1,7 +1,7 @@
 """Tests for the persistent warm-state store (:mod:`repro.exp.warmstore`).
 
 The load-bearing property is the PR's hard invariant: a point served from
-warm state — memory memo, pristine pool, or on-disk snapshot — must be
+warm state — memory memo or on-disk snapshot — must be
 **bit-identical** to the same point rebuilt from scratch
 (``REPRO_NO_WARMSTORE=1``).
 """
@@ -14,7 +14,6 @@ from repro.config import SystemConfig
 from repro.exp import warmstore
 from repro.exp.warmstore import (
     WarmStore,
-    clear_pristine_pool,
     pristine_system,
     reset_active_store,
 )
@@ -43,19 +42,15 @@ def _clear_memos():
 
     figures._FIG10_SCHEDULES.clear()
     figures._FIG11_WARM = None
-    clear_pristine_pool()
     reset_active_store()
 
 
 @pytest.fixture(autouse=True)
 def _isolated_store_state():
-    """Each test resolves the store from its own environment and leaves no
-    pooled systems behind."""
+    """Each test resolves the store from its own environment."""
     reset_active_store()
-    clear_pristine_pool()
     yield
     reset_active_store()
-    clear_pristine_pool()
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +171,7 @@ class TestDiscovery:
 
 
 # ---------------------------------------------------------------------------
-# Pristine-system pool
+# pristine_system
 # ---------------------------------------------------------------------------
 
 class TestPristineSystem:
@@ -187,40 +182,6 @@ class TestPristineSystem:
         second, _ = _drive(pristine_system(config), 600)
         assert first == baseline
         assert second == baseline
-
-    def test_pool_reuses_one_instance(self):
-        from repro import obs
-
-        if obs.sanitize_requested():
-            pytest.skip("pool self-bypasses under the sanitizer")
-        config = fig11_config()
-        assert pristine_system(config) is pristine_system(config)
-
-    def test_kill_switch_forces_fresh_systems(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_WARMSTORE", "1")
-        config = fig11_config()
-        assert pristine_system(config) is not pristine_system(config)
-
-    def test_pool_bypassed_under_metrics_registry(self):
-        from repro.obs import metrics as obs_metrics
-
-        obs_metrics.install(obs_metrics.MetricsRegistry())
-        try:
-            config = fig11_config()
-            assert pristine_system(config) is not pristine_system(config)
-        finally:
-            obs_metrics.uninstall()
-
-    def test_predictor_lease_does_not_poison_pool(self):
-        from repro import obs
-
-        if obs.sanitize_requested():
-            pytest.skip("pool self-bypasses under the sanitizer")
-        config = fig11_config()
-        leased = pristine_system(config)
-        leased.enable_offchip_predictor()  # what PnM-OffChip does
-        again = pristine_system(config)
-        assert again.offchip_predictor is None
 
 
 # ---------------------------------------------------------------------------

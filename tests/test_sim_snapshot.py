@@ -6,7 +6,7 @@ from repro.cache.cache import Cache, CacheConfig
 from repro.config import SystemConfig
 from repro.dram.bank import Bank
 from repro.dram.timings import DRAMTimings
-from repro.sim.snapshot import SystemSnapshot, restore_rows
+from repro.sim.snapshot import SystemSnapshot
 from repro.system import System
 from repro.workloads.kernels import workload_spec
 from repro.workloads.runner import (
@@ -29,10 +29,26 @@ def _drive(system, count, seed_stride=7, start=0):
     return trace, now
 
 
-def test_restore_rows_length_mismatch_raises():
-    dst = [[0, 0], [0, 0]]
-    with pytest.raises(ValueError):
-        restore_rows(dst, [[1, 1]])
+def _small_and_large(replacement):
+    return [Cache(CacheConfig(name="t", size_bytes=size, ways=4,
+                              latency_cycles=1, replacement=replacement))
+            for size in (4096, 8192)]
+
+
+@pytest.mark.parametrize("replacement", ["lru", "srrip", "random"])
+def test_cache_restore_length_mismatch_raises(replacement):
+    small, large = _small_and_large(replacement)
+    small.fill(0)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        large.restore_state(small.snapshot_state())
+    assert len(large._tags) == len(large._dirty) == 128  # not resized
+
+
+@pytest.mark.parametrize("replacement", ["lru", "srrip"])
+def test_policy_restore_length_mismatch_raises(replacement):
+    small, large = _small_and_large(replacement)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        large._policy.restore_state(small._policy.snapshot_state())
 
 
 def test_system_snapshot_component_missing_raises():
@@ -57,11 +73,13 @@ def test_cache_snapshot_round_trip_is_independent_copy():
     after = [cache.resident_lines(s) for s in range(cache.config.num_sets)]
     assert before == after
     assert cache._dirty == state["dirty"]
-    assert any(True in row for row in state["dirty"])
+    assert True in state["dirty"]
     # The snapshot payload is not aliased by the live cache: mutating the
     # restored cache must not corrupt the saved state.
     cache.fill(999 * 64)
-    assert state["tags"] != [[999]]  # payload untouched (sanity)
+    assert 999 in cache._tags
+    assert 999 not in state["tags"]
+    assert 999 not in state["where"]
 
 
 def test_srrip_restore_preserves_cache_policy_alias():
@@ -72,12 +90,13 @@ def test_srrip_restore_preserves_cache_policy_alias():
     state = cache.snapshot_state()
     for i in range(80, 200):
         cache.fill(i * 64)
+    rrpv = cache._rrpv
     cache.restore_state(state)
-    # Cache._rrpv aliases SRRIPPolicy._rrpv row lists; an in-place restore
-    # must keep both views identical (a rebinding restore would split them).
-    assert cache._rrpv is cache._policy._rrpv
-    for cache_row, policy_row in zip(cache._rrpv, cache._policy._rrpv):
-        assert cache_row is policy_row
+    # Cache._rrpv aliases SRRIPPolicy._rrpv; an in-place restore must keep
+    # that one list shared (a rebinding restore would split the views).
+    assert cache._rrpv is rrpv
+    assert cache._policy._rrpv is rrpv
+    assert rrpv == state["policy"]
 
 
 def test_bank_snapshot_round_trip():
@@ -196,7 +215,7 @@ def test_snapshot_bytes_round_trip():
     tail_restored, _ = _drive(restored, 300, seed_stride=13, start=50_000)
     tail_original, _ = _drive(system, 300, seed_stride=13, start=50_000)
     assert tail_restored == tail_original
-    assert SNAPSHOT_FORMAT_VERSION == 1
+    assert SNAPSHOT_FORMAT_VERSION == 2
     with pytest.raises(SnapshotFormatError):
         SystemSnapshot.from_bytes(b"definitely not a snapshot")
     with pytest.raises(SnapshotFormatError):
