@@ -15,14 +15,18 @@ pytest benches), so a snapshot taken right after the benchmark suite is
 nearly free, and a second snapshot of unchanged code replays entirely
 from disk.
 
-The warm-store section runs the fig8+fig10+fig11 sweeps twice in *fresh
+The warm-store section runs the fig8+fig10+fig11 sweeps in *fresh
 subprocesses* with the result cache off: the first (cold) pass populates
-``benchmarks/results/.warmstore``, the second (warm) pass replays the
-same points against the populated store, so the speedup isolates
-warm-state reuse from result caching and in-process memos.  A third
-warm pass repeats the second with ``REPRO_TELEMETRY_DIR`` set, so the
-``telemetry_overhead`` section prices the causal event log against an
-identical telemetry-off pass (acceptance: < 5% wall clock).
+``benchmarks/results/.warmstore``, later (warm) passes replay the same
+points against the populated store, so the speedup isolates warm-state
+reuse from result caching and in-process memos.  The warm passes run in
+interleaved pairs, one with ``REPRO_TELEMETRY_DIR`` set and one without,
+so the ``telemetry_overhead`` section prices the causal event log as the
+median of per-pair time ratios (acceptance: < 5% wall clock).
+
+The ``fig11_point`` row times one cold Fig. 11 point (BFS, default
+``max_refs``) in a fresh interpreter, with the replay path that ran and
+the replay kernel's build cost measured apart.
 """
 
 from __future__ import annotations
@@ -35,7 +39,10 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
+from unittest import mock
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -56,6 +63,9 @@ TELEMETRY_DIR = os.path.join(REPO_ROOT, "benchmarks", "results",
 OUTPUT = os.path.join(REPO_ROOT, "BENCH_PR10.json")
 BASELINE = os.path.join(REPO_ROOT, "BENCH_PR7.json")
 BASELINE_NAME = os.path.basename(BASELINE)
+#: Interleaved (event log off, event log on) warm-pass pairs behind the
+#: telemetry-overhead ratio.
+TELEMETRY_PAIRS = 5
 
 # Reduced axes: one quick pass over every figure, a couple of minutes
 # serial and cold, seconds warm or parallel.
@@ -102,30 +112,55 @@ def run_warm_sweeps(jobs: int) -> dict:
     }
 
 
+def _warm_pass(jobs: int, env: dict, telemetry_dir=None) -> dict:
+    """One ``--warm-pass`` subprocess; with ``telemetry_dir`` the causal
+    event log is on and written there."""
+    pass_env = dict(env)
+    if telemetry_dir is not None:
+        shutil.rmtree(telemetry_dir, ignore_errors=True)
+        os.makedirs(telemetry_dir)
+        pass_env["REPRO_TELEMETRY_DIR"] = telemetry_dir
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--warm-pass",
+         "--jobs", str(jobs)],
+        capture_output=True, text=True, env=pass_env)
+    if proc.returncode != 0:
+        raise RuntimeError(f"warm pass failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def _log_dir(pair: int) -> str:
+    return os.path.join(TELEMETRY_DIR, f"pair{pair}")
+
+
 def warm_store_two_pass(jobs: int) -> dict:
-    """Cold-then-warm figure passes in fresh subprocesses (see module
-    docstring); the warm pass is the ISSUE-5 headline measurement."""
+    """A cold figure pass, then interleaved warm-pass pairs with the
+    event log off and on (see module docstring); the first plain warm
+    pass is the warm-store headline measurement."""
     shutil.rmtree(WARM_DIR, ignore_errors=True)
+    shutil.rmtree(TELEMETRY_DIR, ignore_errors=True)
     record = {"directory": os.path.relpath(WARM_DIR, REPO_ROOT),
               "passes": {}}
     env = dict(os.environ, REPRO_WARMSTORE_DIR=WARM_DIR)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
     env.pop("REPRO_TELEMETRY_DIR", None)
-    # The third pass repeats the warm one with the event log on: same
-    # points, same populated store, so the delta prices telemetry alone.
-    for label in ("cold", "warm", "warm_telemetry"):
-        pass_env = dict(env)
-        if label == "warm_telemetry":
-            shutil.rmtree(TELEMETRY_DIR, ignore_errors=True)
-            os.makedirs(TELEMETRY_DIR, exist_ok=True)
-            pass_env["REPRO_TELEMETRY_DIR"] = TELEMETRY_DIR
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__),
-             "--warm-pass", "--jobs", str(jobs)],
-            capture_output=True, text=True, env=pass_env)
-        if proc.returncode != 0:
-            raise RuntimeError(f"warm {label} pass failed:\n{proc.stderr}")
-        record["passes"][label] = json.loads(proc.stdout)
+    record["passes"]["cold"] = _warm_pass(jobs, env)
+    pairs = []
+    for i in range(TELEMETRY_PAIRS):
+        # Alternate which half of the pair runs first, so a steady drift
+        # in host speed does not bias the ratio.
+        if i % 2:
+            logged = _warm_pass(jobs, env, _log_dir(i))
+            plain = _warm_pass(jobs, env)
+        else:
+            plain = _warm_pass(jobs, env)
+            logged = _warm_pass(jobs, env, _log_dir(i))
+        if not pairs:
+            record["passes"]["warm"] = plain
+            record["passes"]["warm_telemetry"] = logged
+        pairs.append({"plain_seconds": plain["seconds"],
+                      "logged_seconds": logged["seconds"]})
+    record["telemetry_pairs"] = pairs
     cold = record["passes"]["cold"]["seconds"]
     warm = record["passes"]["warm"]["seconds"]
     record["speedup_vs_cold"] = round(cold / max(warm, 1e-9), 2)
@@ -153,24 +188,42 @@ def warm_store_two_pass(jobs: int) -> dict:
 
 
 def telemetry_overhead(warm_record: dict) -> dict:
-    """Price of the causal event log: the telemetry-on warm pass vs the
-    identical telemetry-off one, plus a chain-integrity check over the
-    log the pass just wrote (every span complete, none duplicated)."""
+    """Price of the causal event log: the median over interleaved pairs
+    of (event log on) / (event log off) warm-pass time, plus a
+    chain-integrity check over every log the pairs wrote (every span
+    complete, none duplicated)."""
     from repro.obs import telemetry
 
-    passes = warm_record["passes"]
-    plain = passes["warm"]["seconds"]
-    logged = passes["warm_telemetry"]["seconds"]
-    events = telemetry.read_events(TELEMETRY_DIR)
+    pairs = warm_record["telemetry_pairs"]
+    ratios = [p["logged_seconds"] / max(p["plain_seconds"], 1e-9)
+              for p in pairs]
+    events, chain_errors = [], 0
+    for i in range(len(pairs)):
+        logged = telemetry.read_events(_log_dir(i))
+        events += logged
+        chain_errors += len(telemetry.verify_chains(logged))
     return {
-        "warm_seconds": plain,
-        "telemetry_seconds": logged,
-        "overhead_pct": round((logged - plain) / max(plain, 1e-9) * 100.0,
-                              2),
+        "warm_seconds": statistics.median(p["plain_seconds"] for p in pairs),
+        "telemetry_seconds": statistics.median(
+            p["logged_seconds"] for p in pairs),
+        "pair_ratios": [round(r, 4) for r in ratios],
+        "overhead_pct": round((statistics.median(ratios) - 1.0) * 100.0, 2),
         "events": len(events),
         "spans": len({e["span_id"] for e in events if "span_id" in e}),
-        "chain_errors": len(telemetry.verify_chains(events)),
+        "chain_errors": chain_errors,
     }
+
+
+def replay_path(fn):
+    """``(fn(), path)``: ``path`` is ``"kernel"`` when every Fig. 11
+    replay inside ``fn`` ran in the compiled kernel, ``"python"`` when
+    any fell back to the reference loop."""
+    from repro.workloads import runner
+
+    with mock.patch.object(runner, "_replay_python",
+                           wraps=runner._replay_python) as spy:
+        result = fn()
+    return result, "python" if spy.call_count else "kernel"
 
 
 def _quiesce_heap() -> None:
@@ -266,7 +319,7 @@ def snapshot_restore_speedup() -> dict:
 
     system = System(config)
     started = time.perf_counter()
-    _warm(system, [stream, stream])
+    _, path = replay_path(lambda: _warm(system, [stream, stream]))
     warm_seconds = time.perf_counter() - started
     snap = system.snapshot()
 
@@ -278,7 +331,43 @@ def snapshot_restore_speedup() -> dict:
         "warmup_seconds": round(warm_seconds, 4),
         "restore_seconds": round(restore_seconds, 4),
         "speedup": round(warm_seconds / max(restore_seconds, 1e-9), 1),
+        # The compiled kernel makes the warm-up replay (the numerator)
+        # ~20x cheaper than the Python loop, so the ratio depends on it.
+        "replay_path": path,
     }
+
+
+def fig11_point_cold() -> dict:
+    """One cold Fig. 11 point in a fresh interpreter (``--fig11-point``),
+    and the replay kernel's build cost into an empty directory."""
+    from repro.workloads import native
+
+    with tempfile.TemporaryDirectory() as build_dir:
+        started = time.perf_counter()
+        native._load(Path(build_dir))
+        build_seconds = time.perf_counter() - started
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--fig11-point"],
+        capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        raise RuntimeError(f"fig11 point failed:\n{proc.stderr}")
+    record = json.loads(proc.stdout)
+    record["kernel_build_seconds"] = round(build_seconds, 3)
+    return record
+
+
+def _run_fig11_point() -> dict:
+    from repro.exp.figures import fig11_point
+    from repro.workloads import native
+
+    started = time.perf_counter()
+    point, path = replay_path(lambda: fig11_point("BFS"))
+    return {"workload": point["workload"],
+            "seconds": round(time.perf_counter() - started, 3),
+            "replay_path": path, "kernel": native.available()[1]}
 
 
 def main(argv=None) -> int:
@@ -290,12 +379,18 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=OUTPUT)
     parser.add_argument("--warm-pass", action="store_true",
                         help=argparse.SUPPRESS)  # internal: one warm pass,
-    # JSON on stdout (spawned twice by warm_store_two_pass)
+    # JSON on stdout (spawned by warm_store_two_pass)
+    parser.add_argument("--fig11-point", action="store_true",
+                        help=argparse.SUPPRESS)  # internal: one cold
+    # fig11 point, JSON on stdout (spawned by fig11_point_cold)
     args = parser.parse_args(argv)
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
     if args.warm_pass:
         json.dump(run_warm_sweeps(jobs), sys.stdout)
+        return 0
+    if args.fig11_point:
+        json.dump(_run_fig11_point(), sys.stdout)
         return 0
     cache = None if args.no_cache else ResultCache(CACHE_DIR)
 
@@ -335,7 +430,14 @@ def main(argv=None) -> int:
     print("timing warm-up vs snapshot restore...")
     record["snapshot"] = snapshot_restore_speedup()
     print(f"snapshot restore: {record['snapshot']['speedup']}x faster "
-          f"than re-warming")
+          f"than re-warming ({record['snapshot']['replay_path']} replay)")
+
+    print("timing one cold fig11 point...")
+    record["fig11_point"] = fig11_point_cold()
+    point = record["fig11_point"]
+    print(f"fig11 {point['workload']} point: {point['seconds']:.2f}s cold "
+          f"({point['replay_path']} replay; kernel build "
+          f"{point['kernel_build_seconds']:.2f}s)")
 
     print("measuring warm-state store (cold + warm passes)...")
     record["warm_store"] = warm_store_two_pass(jobs)
@@ -352,7 +454,8 @@ def main(argv=None) -> int:
     overhead = record["telemetry_overhead"]
     print(f"telemetry: warm {overhead['warm_seconds']:.2f}s -> "
           f"logged {overhead['telemetry_seconds']:.2f}s "
-          f"({overhead['overhead_pct']:+.1f}%, {overhead['events']} events, "
+          f"({overhead['overhead_pct']:+.1f}% median of "
+          f"{len(overhead['pair_ratios'])} pairs, {overhead['events']} events, "
           f"{overhead['spans']} spans, "
           f"{overhead['chain_errors']} chain errors)")
 

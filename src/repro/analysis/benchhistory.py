@@ -32,6 +32,7 @@ BENCH_METRICS: List[Tuple[str, str, str]] = [
     ("scheduler.checkpoints_per_sec", "scheduler.checkpoints_per_sec",
      "higher"),
     ("snapshot.restore_speedup", "snapshot.speedup", "higher"),
+    ("fig11.point_seconds", "fig11_point.seconds", "lower"),
     ("warm_store.speedup_vs_cold", "warm_store.speedup_vs_cold", "higher"),
     ("suite_seconds", "suite_seconds", "lower"),
     ("serve.points_per_sec", "unique_load.points_per_sec", "higher"),

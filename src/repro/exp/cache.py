@@ -32,8 +32,9 @@ def canonical_json(value: Any) -> str:
 def code_version() -> str:
     """Content hash of the installed ``repro`` package sources.
 
-    Memoized per process; any change to any ``.py`` file under the package
-    produces a different version and therefore different cache keys.
+    Memoized per process; any change to any ``.py`` or ``.c`` file under
+    the package (the compiled replay kernel's source included) produces a
+    different version and therefore different cache keys.
     """
     global _CODE_VERSION
     if _CODE_VERSION is None:
@@ -42,7 +43,7 @@ def code_version() -> str:
         for root, dirs, files in sorted(os.walk(package_dir)):
             dirs[:] = sorted(d for d in dirs if d != "__pycache__")
             for name in sorted(files):
-                if not name.endswith(".py"):
+                if not name.endswith((".py", ".c")):
                     continue
                 path = os.path.join(root, name)
                 digest.update(os.path.relpath(path, package_dir).encode())

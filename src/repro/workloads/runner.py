@@ -6,6 +6,12 @@ DRAM banks), evaluated under the open-row baseline, the closed-row policy
 (CRP) and constant-time DRAM access (CTD).  The runner models simple
 in-order cores: each memory reference stalls the issuing core for its
 full hierarchy latency, with the kernel's compute cycles in between.
+
+The replay loop runs in a compiled C kernel (:mod:`repro.workloads.native`)
+whenever that kernel models the run; :func:`_replay_python` is the
+reference it reproduces bit for bit, and runs otherwise (an attached
+observer, ``random`` replacement, refresh, bank partitioning, or no C
+compiler).
 """
 
 from __future__ import annotations
@@ -142,6 +148,20 @@ def run_multiprogrammed(system: System,
 
 def _replay(system: System,
             streams: Sequence[Sequence[MemoryRef]]) -> RunResult:
+    """Replay ``streams`` in the compiled kernel
+    (:mod:`repro.workloads.native`), or in :func:`_replay_python` when
+    the kernel declines the run."""
+    from repro.workloads import native
+
+    result = native.replay(system, streams)
+    if result is None:
+        result = _replay_python(system, streams)
+    return result
+
+
+def _replay_python(system: System,
+                   streams: Sequence[Sequence[MemoryRef]]) -> RunResult:
+    """The reference replay loop; the kernel reproduces it bit for bit."""
     if len(streams) > system.config.hierarchy.num_cores:
         raise ValueError("more streams than cores")
     cursors = [0] * len(streams)

@@ -1,4 +1,4 @@
-"""The package imports and runs a figure point with numpy unavailable."""
+"""The package imports and runs figure points with numpy unavailable."""
 
 import os
 import subprocess
@@ -32,6 +32,10 @@ import repro.workloads
 
 point = repro.exp.figures.sec33_point(2, bits=64)  # one Fig. 2 point
 assert point, point
+# One small Fig. 11 point: the replay kernel's loader and marshaling use
+# only ctypes and array.
+point = repro.exp.figures.fig11_point("BFS", max_refs=2000)
+assert point["workload"] == "BFS", point
 assert attempts == [], f"numpy import attempted: {attempts}"
 assert sys.modules["numpy"] is None
 assert not [name for name in sys.modules if name.startswith("numpy.")]
