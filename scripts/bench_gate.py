@@ -181,18 +181,14 @@ def main(argv=None) -> int:
     return 1 if failed else 0
 
 
-#: Absolute acceptance floors for the committed sweep-engine bench (the
-#: PR 10 headline claims): adaptive early-stop must save >=2x the reps of
-#: the fixed grid at equal CI targets, straggler re-dispatch must improve
-#: sweep p99 by >=1.5x under an injected slow worker, and both runs must
-#: be causally clean — no duplicate cache commits, no event-chain errors.
+#: Absolute acceptance floors for the committed sweep-engine bench:
+#: adaptive early-stop must save >=2x the reps of the fixed grid at equal
+#: CI targets, and the run must be causally clean — no duplicate cache
+#: commits, no event-chain errors.
 SWEEP_ENGINE_FLOORS = [
     ("sweep_engine.adaptive.rep_savings_ratio", ">=", 2.0),
-    ("sweep_engine.straggler_redispatch.p99_improvement", ">=", 1.5),
     ("sweep_engine.adaptive.duplicate_commits", "==", 0.0),
     ("sweep_engine.adaptive.chain_errors", "==", 0.0),
-    ("sweep_engine.straggler_redispatch.duplicate_commits", "==", 0.0),
-    ("sweep_engine.straggler_redispatch.chain_errors", "==", 0.0),
 ]
 
 

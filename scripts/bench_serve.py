@@ -57,7 +57,7 @@ def bench_point(seed: int, accesses: int = 4000) -> dict:
     system = System(SystemConfig.paper_default())
     stride = 64 * (7 + (seed % 13))
     addrs = [(seed * 977 + i * stride) % (1 << 24) for i in range(accesses)]
-    system.hierarchy.access_batch(0, addrs, 0, pc=0, backend="auto")
+    system.hierarchy.access_batch(0, addrs, 0, pc=0)
     return {"seed": seed, "accesses": accesses,
             "demand_accesses": system.hierarchy.stats.demand_accesses}
 

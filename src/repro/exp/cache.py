@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import secrets
 import time
 from typing import Any, Dict, Mapping, Optional
 
@@ -135,10 +136,21 @@ class ResultCache:
             "created": time.time(),
             "payload": payload,
         }
-        tmp = path + ".tmp"
-        with open(tmp, "w") as handle:
-            json.dump(entry, handle, default=str)
-        os.replace(tmp, path)
+        # A temp file unique to this writer: two processes putting one key
+        # at once each rename their own complete file into place (last
+        # wins), and a writer killed mid-dump leaves only a stray temp
+        # file that no lookup or listing ever reads.
+        tmp = f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+        try:
+            with open(tmp, "x") as handle:
+                json.dump(entry, handle, default=str)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+            raise
         self._touch(path)
         if self.max_entries is not None:
             self._evict(self.max_entries)

@@ -29,8 +29,9 @@ executions only behind an explicit ``point_retried`` marker).
 lease age, and in-flight points against a running median of completed
 point durations; a point exceeding ``straggler_factor`` × median is
 flagged — the metrics endpoint surfaces the snapshot and the event log
-gets a ``point_straggler`` record.  This is the observability
-prerequisite for straggler re-dispatch (ROADMAP item 5).
+gets a ``point_straggler`` record.  Flagging is observability only:
+points are seeded and deterministic, so a slow point is slow because of
+its own work and nothing re-runs it.
 
 **Structured logging.**  :func:`log` replaces ad-hoc ``print``/stderr
 diagnostics: one JSON object per line on stderr, gated by
@@ -53,7 +54,8 @@ import sys
 import time
 import uuid
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, TextIO, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, TextIO,
+                    Tuple)
 
 #: Directory that switches the event log on; unset (the default) makes
 #: every :func:`emit` a single dict lookup returning immediately.
@@ -255,14 +257,18 @@ class FleetHealth:
     a running median of completed durations.  An in-flight or completing
     point whose age exceeds ``max(straggler_factor × median,
     min_seconds)`` (with at least ``min_samples`` completions observed)
-    is flagged a straggler — once per point.
+    is flagged a straggler — once per point.  Every timestamp comes from
+    ``clock`` (default :func:`time.monotonic`), so a test can drive the
+    model with a fake clock.
     """
 
     def __init__(self, straggler_factor: float = 4.0, min_samples: int = 4,
-                 min_seconds: float = 1.0, window: int = 128) -> None:
+                 min_seconds: float = 1.0, window: int = 128,
+                 clock: Callable[[], float] = time.monotonic) -> None:
         self.straggler_factor = float(straggler_factor)
         self.min_samples = max(1, int(min_samples))
         self.min_seconds = float(min_seconds)
+        self.clock = clock
         self._durations: "deque[float]" = deque(maxlen=max(8, int(window)))
         self._workers: Dict[int, Dict[str, Any]] = {}
         self._inflight: Dict[str, Dict[str, Any]] = {}
@@ -273,46 +279,25 @@ class FleetHealth:
         if entry is None:
             entry = self._workers[pid] = {
                 "points": 0, "failures": 0, "busy_seconds": 0.0,
-                "redispatched": 0, "first_seen": now, "last_heartbeat": now}
+                "first_seen": now, "last_heartbeat": now}
         return entry
 
     def record_dispatch(self, pid: int, span_id: str,
                         point_slug: Optional[str] = None,
-                        run_id: Optional[str] = None,
-                        now: Optional[float] = None,
-                        redispatch_of: Optional[str] = None) -> None:
-        """A point left for worker ``pid`` (``span_id`` keys the flight).
+                        run_id: Optional[str] = None) -> None:
+        """A point left for worker ``pid`` (``span_id`` keys the flight)."""
+        now = self.clock()
+        self._worker(pid, now)["last_heartbeat"] = now
+        self._inflight[span_id] = {"pid": pid, "point_slug": point_slug,
+                                   "run_id": run_id, "started": now,
+                                   "straggler": False}
 
-        A speculative re-dispatch of a flagged straggler passes the
-        *primary* flight's key as ``redispatch_of`` and its own distinct
-        key (conventionally ``<span>#rN``) as ``span_id`` — both copies
-        stay visible in flight, the twin marked ``twin`` and the primary
-        ``has_twin``, and the receiving worker's ``redispatched`` counter
-        increments."""
-        now = time.monotonic() if now is None else now
-        worker = self._worker(pid, now)
-        worker["last_heartbeat"] = now
-        flight = {"pid": pid, "point_slug": point_slug, "run_id": run_id,
-                  "started": now, "straggler": False,
-                  "twin": redispatch_of is not None, "has_twin": False}
-        if redispatch_of is not None:
-            worker["redispatched"] += 1
-            primary = self._inflight.get(redispatch_of)
-            if primary is not None:
-                primary["has_twin"] = True
-                flight.setdefault("point_slug", primary["point_slug"])
-                if point_slug is None:
-                    flight["point_slug"] = primary["point_slug"]
-                if run_id is None:
-                    flight["run_id"] = primary["run_id"]
-        self._inflight[span_id] = flight
-
-    def record_done(self, pid: int, span_id: str, ok: bool = True,
-                    now: Optional[float] = None) -> Tuple[float, bool]:
+    def record_done(self, pid: int, span_id: str,
+                    ok: bool = True) -> Tuple[float, bool]:
         """A point's reply landed; returns ``(elapsed_seconds,
         newly_straggler)`` — the flag is True only the first time this
         point crosses the threshold, so callers emit one event/count."""
-        now = time.monotonic() if now is None else now
+        now = self.clock()
         worker = self._worker(pid, now)
         worker["last_heartbeat"] = now
         flight = self._inflight.pop(span_id, None)
@@ -331,20 +316,6 @@ class FleetHealth:
             self.stragglers_total += 1
         return elapsed, newly
 
-    def record_cancelled(self, pid: int, span_id: str,
-                         now: Optional[float] = None) -> None:
-        """A speculative copy lost the first-commit-wins race and was
-        cancelled: release the flight without polluting the duration
-        median, point counts, or failure tallies."""
-        now = time.monotonic() if now is None else now
-        self._worker(pid, now)["last_heartbeat"] = now
-        self._inflight.pop(span_id, None)
-
-    def is_straggler(self, span_id: str) -> bool:
-        """True when the flight keyed ``span_id`` is currently flagged."""
-        flight = self._inflight.get(span_id)
-        return bool(flight and flight["straggler"])
-
     def median(self) -> Optional[float]:
         """Running median of completed point durations (``None`` until
         ``min_samples`` completions)."""
@@ -360,15 +331,14 @@ class FleetHealth:
             return None
         return max(self.straggler_factor * median, self.min_seconds)
 
-    def flag_stragglers(self, now: Optional[float] = None,
-                        ) -> List[Dict[str, Any]]:
+    def flag_stragglers(self) -> List[Dict[str, Any]]:
         """Scan in-flight points and flag (once) those over the
         threshold; returns the newly flagged entries with ``span_id``,
         ``age_s`` and ``threshold_s`` filled in."""
         threshold = self.threshold()
         if threshold is None:
             return []
-        now = time.monotonic() if now is None else now
+        now = self.clock()
         newly: List[Dict[str, Any]] = []
         for span_id, flight in self._inflight.items():
             age = now - flight["started"]
@@ -382,14 +352,14 @@ class FleetHealth:
                               "threshold_s": round(threshold, 6)})
         return newly
 
-    def snapshot(self, now: Optional[float] = None) -> Dict[str, Any]:
+    def snapshot(self) -> Dict[str, Any]:
         """JSON-able health view for the metrics endpoint / ``repro top``:
         fleet medians, per-worker gauges, and in-flight points sorted
         slowest-first.  Flags overdue in-flight points as a side effect
         (callers wanting the *newly* flagged list for event emission use
         :meth:`flag_stragglers` first)."""
-        now = time.monotonic() if now is None else now
-        self.flag_stragglers(now)
+        self.flag_stragglers()
+        now = self.clock()
         median = self.median()
         threshold = self.threshold()
         workers: Dict[str, Dict[str, Any]] = {}
@@ -402,7 +372,6 @@ class FleetHealth:
             workers[str(pid)] = {
                 "points": entry["points"],
                 "failures": entry["failures"],
-                "redispatched": entry.get("redispatched", 0),
                 "busy_seconds": round(busy, 6),
                 "points_per_sec": (round(entry["points"] / busy, 3)
                                    if busy > 0 else None),
@@ -416,9 +385,7 @@ class FleetHealth:
             ({"span_id": span, "worker_pid": flight["pid"],
               "point_slug": flight["point_slug"],
               "age_s": round(now - flight["started"], 6),
-              "straggler": flight["straggler"],
-              "twin": flight.get("twin", False),
-              "has_twin": flight.get("has_twin", False)}
+              "straggler": flight["straggler"]}
              for span, flight in self._inflight.items()),
             key=lambda entry: -entry["age_s"])
         return {

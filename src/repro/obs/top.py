@@ -114,32 +114,19 @@ def _render_workers(health: Dict[str, Any]) -> str:
             pid, worker.get("points", 0),
             _fmt(worker.get("points_per_sec")),
             _fmt(worker.get("busy_seconds"), 2),
-            worker.get("redispatched", 0),
             _fmt(worker.get("lease_age_s")),
             worker.get("in_flight") or "idle",
             "STRAGGLER" if worker.get("straggler") else ""))
     return _table(
-        ["worker pid", "points", "pts/s", "busy s", "redispatched",
-         "lease age s", "in flight", ""],
+        ["worker pid", "points", "pts/s", "busy s", "lease age s",
+         "in flight", ""],
         rows, title="workers")
-
-
-def _flight_flags(entry: Dict[str, Any]) -> str:
-    """Flag column for one in-flight row: ``STRAGGLER`` when over the
-    threshold, ``R`` when a speculative re-dispatch twin exists (set on
-    both copies of the race)."""
-    flags = []
-    if entry.get("straggler"):
-        flags.append("STRAGGLER")
-    if entry.get("has_twin") or entry.get("twin"):
-        flags.append("R")
-    return " ".join(flags)
 
 
 def _render_in_flight(health: Dict[str, Any], limit: int = 8) -> str:
     rows = [(entry.get("point_slug") or entry.get("span_id"),
              entry.get("worker_pid"), _fmt(entry.get("age_s")),
-             _flight_flags(entry))
+             "STRAGGLER" if entry.get("straggler") else "")
             for entry in (health.get("in_flight") or [])[:limit]]
     return _table(["in-flight point", "worker", "age s", ""], rows,
                   title="slowest in flight")
@@ -164,7 +151,6 @@ def fleet_state(events: Iterable[Dict[str, Any]],
     clients: Dict[str, Dict[str, int]] = {}
     runs: Dict[str, Dict[str, Any]] = {}
     workers: Dict[int, Dict[str, Any]] = {}
-    redispatched: Dict[int, int] = {}
     stragglers_total = 0
     for event in events:
         name = event.get("event")
@@ -186,8 +172,7 @@ def fleet_state(events: Iterable[Dict[str, Any]],
         span = spans.setdefault(span_id, {
             "span_id": span_id, "point_slug": None, "client": None,
             "queued_ts": None, "dispatched_ts": None, "worker_pid": None,
-            "elapsed_s": None, "terminal": None, "straggler": False,
-            "has_twin": False})
+            "elapsed_s": None, "terminal": None, "straggler": False})
         if event.get("point_slug"):
             span["point_slug"] = event["point_slug"]
         if name == "point_queued":
@@ -199,16 +184,8 @@ def fleet_state(events: Iterable[Dict[str, Any]],
                 clients.setdefault(client, {"queued": 0, "done": 0})
                 clients[client]["queued"] += 1
         elif name == "point_dispatched":
-            if event.get("redispatch"):
-                # Speculative twin: the span keeps its primary worker;
-                # credit the twin's worker with the re-dispatch.
-                span["has_twin"] = True
-                pid = event.get("worker_pid")
-                if pid is not None:
-                    redispatched[pid] = redispatched.get(pid, 0) + 1
-            else:
-                span["dispatched_ts"] = event.get("ts")
-                span["worker_pid"] = event.get("worker_pid")
+            span["dispatched_ts"] = event.get("ts")
+            span["worker_pid"] = event.get("worker_pid")
         elif name == "point_end":
             span["elapsed_s"] = event.get("elapsed_s")
         elif name == "point_straggler":
@@ -230,17 +207,11 @@ def fleet_state(events: Iterable[Dict[str, Any]],
           "worker_pid": span["worker_pid"],
           "age_s": round(now - (span["dispatched_ts"]
                                 or span["queued_ts"] or now), 6),
-          "straggler": span["straggler"],
-          "has_twin": span["has_twin"]}
+          "straggler": span["straggler"]}
          for span in spans.values()
          if span["terminal"] is None and (span["dispatched_ts"]
                                           or span["queued_ts"])),
         key=lambda entry: -entry["age_s"])
-    for pid in redispatched:
-        # A worker that only ever ran speculative twins still deserves a
-        # row — its redispatched count is its whole story.
-        workers.setdefault(pid, {"points": 0, "busy_seconds": 0.0,
-                                 "last_ts": 0.0})
     durations = sorted(span["elapsed_s"] for span in spans.values()
                        if span["elapsed_s"] is not None)
     median = (durations[len(durations) // 2]
@@ -252,7 +223,6 @@ def fleet_state(events: Iterable[Dict[str, Any]],
             "points_per_sec": (round(worker["points"]
                                      / worker["busy_seconds"], 3)
                                if worker["busy_seconds"] > 0 else None),
-            "redispatched": redispatched.get(pid, 0),
             "heartbeat_age_s": round(now - worker["last_ts"], 6),
             "in_flight": next((f["point_slug"] for f in in_flight
                                if f["worker_pid"] == pid), None),

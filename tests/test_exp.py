@@ -1,6 +1,12 @@
 """Tests for the parallel sweep-execution subsystem (:mod:`repro.exp`)."""
 
 import json
+import multiprocessing
+import os
+import select
+import signal
+import threading
+import traceback
 from pathlib import Path
 
 import pytest
@@ -442,6 +448,96 @@ class TestCommitOnFailure:
 
 
 # ---------------------------------------------------------------------------
+# Result cache crash consistency and concurrent writers
+# ---------------------------------------------------------------------------
+
+def _fork_context():
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    return multiprocessing.get_context("fork")
+
+
+def _put_then_hang(directory, ready_fd):
+    """Child body: start a put, write half the entry, report, and block
+    inside ``json.dump`` until the parent SIGKILLs this process."""
+    def torn_dump(entry, handle, **kwargs):
+        text = json.dumps(entry, **kwargs)
+        handle.write(text[:len(text) // 2])
+        handle.flush()
+        os.write(ready_fd, b"x")
+        threading.Event().wait()
+
+    json.dump = torn_dump  # this forked child's json module only
+    ResultCache(directory, version="v1").put("exp", {"a": 1},
+                                             {"blob": "y" * 4096})
+
+
+def _hammer_put(directory, start, rounds, worker):
+    """Child body: put one shared key ``rounds`` times; exit 1 on any
+    exception (the parent asserts every writer exited 0)."""
+    cache = ResultCache(directory, version="v1")
+    start.wait(timeout=30)
+    try:
+        for i in range(rounds):
+            cache.put("exp", {"a": 1}, {"worker": worker, "round": i,
+                                        "blob": "z" * 2048})
+    except BaseException:
+        traceback.print_exc()
+        os._exit(1)
+    os._exit(0)
+
+
+class TestResultCacheConcurrency:
+    def _killed_mid_put(self, directory):
+        ctx = _fork_context()
+        read_fd, write_fd = os.pipe()
+        child = ctx.Process(target=_put_then_hang,
+                            args=(str(directory), write_fd))
+        child.start()
+        try:
+            ready, _, _ = select.select([read_fd], [], [], 30)
+            assert ready, "child never reached the middle of put"
+            os.read(read_fd, 1)
+        finally:
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(timeout=30)
+            os.close(read_fd)
+            os.close(write_fd)
+        assert child.exitcode == -signal.SIGKILL
+
+    def test_sigkill_mid_put_leaves_a_clean_miss(self, tmp_path):
+        self._killed_mid_put(tmp_path)
+        cache = ResultCache(tmp_path, version="v1")
+        assert ResultCache.is_missing(cache.get("exp", {"a": 1}))
+        assert cache.entry_count() == 0  # the torn temp file is no entry
+
+    def test_sigkill_mid_put_keeps_the_previous_entry(self, tmp_path):
+        ResultCache(tmp_path, version="v1").put("exp", {"a": 1}, {"old": 1})
+        self._killed_mid_put(tmp_path)
+        cache = ResultCache(tmp_path, version="v1")
+        assert cache.get("exp", {"a": 1}) == {"old": 1}  # never torn
+
+    def test_concurrent_puts_of_one_key_never_raise(self, tmp_path):
+        ctx = _fork_context()
+        start = ctx.Event()
+        rounds = 200
+        writers = [ctx.Process(target=_hammer_put,
+                               args=(str(tmp_path), start, rounds, worker))
+                   for worker in range(2)]
+        for writer in writers:
+            writer.start()
+        start.set()
+        for writer in writers:
+            writer.join(timeout=120)
+        assert [w.exitcode for w in writers] == [0, 0]
+        cache = ResultCache(tmp_path, version="v1")
+        payload = cache.get("exp", {"a": 1})
+        assert payload["worker"] in (0, 1)
+        assert payload["round"] == rounds - 1  # some writer's last put
+        assert cache.entry_count() == 1
+
+
+# ---------------------------------------------------------------------------
 # Pool shrink / lease lifecycle
 # ---------------------------------------------------------------------------
 
@@ -490,10 +586,13 @@ class TestPoolShrink:
         try:
             first = pool.checkout()
             assert first.leased
-            assert pool.checkout(spawn=False) is None  # all busy
+            second = pool.checkout()  # all busy: a new worker is spawned
+            assert second is not first and len(pool) == 2
             pool.checkin(first)
-            assert pool.checkout(spawn=False) is first  # reused, not respawned
+            assert pool.checkout() is first  # reused, not respawned
+            assert len(pool) == 2
             pool.retire(first)
+            pool.retire(second)
             assert len(pool) == 0
         finally:
             pool.shutdown()

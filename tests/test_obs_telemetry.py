@@ -12,8 +12,6 @@ explicit markers.
 import asyncio
 import json
 import os
-import random
-import time
 
 import pytest
 
@@ -28,12 +26,21 @@ from repro.exp.sweep import SweepPoint
 from repro.obs import telemetry
 from repro.obs import top as obs_top
 from repro.serve import ServeScheduler
+from tests.gates import gate, gated_point
 
 
-def tele_point(value=0, delay=0.0):
-    if delay:
-        time.sleep(delay)
+def tele_point(value=0):
     return {"value": value}
+
+
+class FakeClock:
+    """A hand-stepped clock for :class:`telemetry.FleetHealth`."""
+
+    def __init__(self, now=0.0):
+        self.now = now
+
+    def __call__(self):
+        return self.now
 
 
 def failing_tele_point(value=0):
@@ -178,54 +185,66 @@ class TestVerifyChains:
 # ---------------------------------------------------------------------------
 
 class TestFleetHealth:
-    def _warmed(self, **kwargs):
-        """A health model with four 1s completions on worker 1."""
+    def _warmed(self):
+        """A health model with four 1s completions on worker 1, and the
+        fake clock driving it."""
+        clock = FakeClock()
         health = telemetry.FleetHealth(straggler_factor=2.0, min_samples=4,
-                                       min_seconds=0.5, **kwargs)
+                                       min_seconds=0.5, clock=clock)
         for i in range(4):
-            health.record_dispatch(1, f"s{i}", point_slug=f"p{i}",
-                                   now=float(i))
-            health.record_done(1, f"s{i}", now=float(i) + 1.0)
-        return health
+            clock.now = float(i)
+            health.record_dispatch(1, f"s{i}", point_slug=f"p{i}")
+            clock.now = float(i) + 1.0
+            health.record_done(1, f"s{i}")
+        return health, clock
 
     def test_median_warms_up(self):
-        health = telemetry.FleetHealth(min_samples=4)
+        health = telemetry.FleetHealth(min_samples=4,
+                                       clock=FakeClock(100.0))
         assert health.median() is None
         assert health.threshold() is None
-        assert health.flag_stragglers(now=100.0) == []
-        health = self._warmed()
+        assert health.flag_stragglers() == []
+        health, _clock = self._warmed()
         assert health.median() == pytest.approx(1.0)
         assert health.threshold() == pytest.approx(2.0)
 
     def test_in_flight_straggler_flagged_once(self):
-        health = self._warmed()
+        health, clock = self._warmed()
+        clock.now = 10.0
         health.record_dispatch(2, "slow", point_slug="pslow",
-                               run_id="run-x", now=10.0)
-        assert health.flag_stragglers(now=10.5) == []  # under threshold
-        (flagged,) = health.flag_stragglers(now=15.0)
+                               run_id="run-x")
+        clock.now = 10.5
+        assert health.flag_stragglers() == []  # under threshold
+        clock.now = 15.0
+        (flagged,) = health.flag_stragglers()
         assert flagged["span_id"] == "slow"
         assert flagged["pid"] == 2
         assert flagged["run_id"] == "run-x"
         assert flagged["age_s"] == pytest.approx(5.0)
-        assert health.flag_stragglers(now=20.0) == []  # flag-once
+        clock.now = 20.0
+        assert health.flag_stragglers() == []  # flag-once
         assert health.stragglers_total == 1
         # Completing an already-flagged point must not double-count.
-        elapsed, newly = health.record_done(2, "slow", now=20.0)
+        elapsed, newly = health.record_done(2, "slow")
         assert elapsed == pytest.approx(10.0)
         assert newly is False
         assert health.stragglers_total == 1
 
     def test_completion_straggler_counted(self):
-        health = self._warmed()
-        health.record_dispatch(2, "slow", now=10.0)
-        elapsed, newly = health.record_done(2, "slow", now=17.0)
+        health, clock = self._warmed()
+        clock.now = 10.0
+        health.record_dispatch(2, "slow")
+        clock.now = 17.0
+        elapsed, newly = health.record_done(2, "slow")
         assert newly is True
         assert health.stragglers_total == 1
 
     def test_snapshot_shape(self):
-        health = self._warmed()
-        health.record_dispatch(2, "slow", point_slug="pslow", now=10.0)
-        snap = health.snapshot(now=11.0)
+        health, clock = self._warmed()
+        clock.now = 10.0
+        health.record_dispatch(2, "slow", point_slug="pslow")
+        clock.now = 11.0
+        snap = health.snapshot()
         assert snap["completed_points"] == 4
         assert snap["median_point_seconds"] == pytest.approx(1.0)
         worker = snap["workers"]["1"]
@@ -240,10 +259,13 @@ class TestFleetHealth:
         assert json.dumps(snap)  # JSON-able end to end
 
     def test_failures_tracked(self):
-        health = telemetry.FleetHealth()
-        health.record_dispatch(1, "s", now=0.0)
-        health.record_done(1, "s", ok=False, now=0.5)
-        assert health.snapshot(now=1.0)["workers"]["1"]["failures"] == 1
+        clock = FakeClock()
+        health = telemetry.FleetHealth(clock=clock)
+        health.record_dispatch(1, "s")
+        clock.now = 0.5
+        health.record_done(1, "s", ok=False)
+        clock.now = 1.0
+        assert health.snapshot()["workers"]["1"]["failures"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +321,7 @@ def _assert_complete(events, points, outcome, expect_spans=None):
 
 class TestSweepChains:
     def test_pool_sweep_complete_chains(self, tele_dir):
-        rng = random.Random(20260808)
-        points = _points(range(6), delay=rng.uniform(0.0, 0.01))
+        points = _points(range(6))
         outcome = run_sweep(points, jobs=3)
         assert outcome.run_id
         assert [r["value"] for r in outcome.results] == list(range(6))
@@ -329,7 +350,7 @@ class TestSweepChains:
         def refuse(*args, **kwargs):
             raise PoolUnavailableError("forced by test")
 
-        monkeypatch.setattr(runner, "_run_parallel", refuse)
+        monkeypatch.setattr(runner.WorkerPool, "run", refuse)
         points = _points(range(4))
         outcome = run_sweep(points, jobs=4)
         assert outcome.fallback_reason
@@ -432,9 +453,10 @@ class TestSchedulerChains:
         async def main():
             sched = ServeScheduler(jobs=1, use_pool=False)
             await sched.start()
-            job_a = await sched.submit(
-                "alice", _points([3], delay=0.05))
-            job_b = await sched.submit("bob", _points([3], delay=0.05))
+            # submit() never yields, so bob's duplicate is queued while
+            # alice's point is still queued: dedup, not a re-execution.
+            job_a = await sched.submit("alice", _points([3]))
+            job_b = await sched.submit("bob", _points([3]))
             await asyncio.wait_for(job_a.done.wait(), timeout=30)
             await asyncio.wait_for(job_b.done.wait(), timeout=30)
             await sched.stop()
@@ -521,35 +543,43 @@ class TestSchedulerChains:
         assert os.getpid() in {int(pid) for pid in health["workers"]}
 
     def test_straggler_flagged_in_log_and_stats(self, tele_dir):
-        """An injected sleep point crossing the threshold shows up both
-        as a point_straggler event and in the metrics-endpoint health
-        snapshot (polling triggers the in-flight scan)."""
+        """A point held in flight past the threshold shows up both as a
+        point_straggler event and in the metrics-endpoint health snapshot
+        (polling triggers the in-flight scan).  A fake clock stands in
+        for the wall clock; a gate holds the point."""
+        clock = FakeClock()
+        release, started = gate("straggler-stats")
 
         async def main():
-            sched = ServeScheduler(jobs=1, use_pool=False,
-                                   straggler_factor=1.5,
-                                   straggler_min_seconds=0.05)
+            sched = ServeScheduler(
+                jobs=1, use_pool=False,
+                health=telemetry.FleetHealth(straggler_factor=1.5,
+                                             min_seconds=0.05, clock=clock))
             await sched.start()
             warmup = await sched.submit("c", _points(range(4)))
             await asyncio.wait_for(warmup.done.wait(), timeout=30)
-            slow = await sched.submit("c", _points([9], delay=0.6))
-            flagged = None
-            for _ in range(200):
-                await asyncio.sleep(0.01)
-                snap = sched.stats()["workers"]
-                if snap["stragglers_total"] >= 1:
-                    flagged = snap
-                    break
+            slow = await sched.submit(
+                "c", _points([9], fn=gated_point,
+                             gate_name="straggler-stats"))
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, started.wait, 30)
+            before = sched.stats()["workers"]["stragglers_total"]
+            clock.now += 1.0  # the held point is now 1 s old
+            flagged = sched.stats()["workers"]
+            release.set()
             await asyncio.wait_for(slow.done.wait(), timeout=30)
             await sched.stop()
-            return flagged
+            return before, flagged, sched.stats()["workers"]
 
-        flagged = _run(main())
-        assert flagged is not None, "straggler never flagged in stats"
-        assert flagged["stragglers_total"] >= 1
+        before, flagged, after = _run(main())
+        assert before == 0
+        assert flagged["stragglers_total"] == 1
+        (flight,) = flagged["in_flight"]
+        assert flight["straggler"] and flight["age_s"] == pytest.approx(1.0)
+        assert after["stragglers_total"] == 1  # completion did not recount
         events = telemetry.read_events(tele_dir)
         straggler = [e for e in events if e["event"] == "point_straggler"]
-        assert straggler
+        assert len(straggler) == 1 and straggler[0]["in_flight"] is True
         assert telemetry.verify_chains(events) == []
 
 

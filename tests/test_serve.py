@@ -30,6 +30,7 @@ from repro.serve import (
     point_key,
 )
 from repro.serve import protocol
+from tests.gates import gate, gated_point
 
 RUNS = {"n": 0}
 ORDER = []
@@ -42,10 +43,18 @@ def quick_point(value):
     return {"value": value, "square": value * value}
 
 
-def slow_point(value, delay=0.05):
-    time.sleep(delay)
-    ORDER.append(value)
-    return {"value": value}
+def _wait_for(predicate, timeout=30.0):
+    """Poll ``predicate`` until it holds, failing after ``timeout``."""
+    deadline = time.monotonic() + timeout
+    tick = threading.Event()
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        tick.wait(0.005)
+
+
+def _counter(server, name):
+    counter = server.scheduler.registry.counters.get(name)
+    return counter.value if counter is not None else 0
 
 
 def failing_point(value):
@@ -122,7 +131,7 @@ class TestProtocol:
         a1 = point_key(SweepPoint("t", quick_point, {"value": 1}), "v")
         a1b = point_key(SweepPoint("t", quick_point, {"value": 1}), "v")
         a2 = point_key(SweepPoint("t", quick_point, {"value": 2}), "v")
-        other_fn = point_key(SweepPoint("t", slow_point, {"value": 1}), "v")
+        other_fn = point_key(SweepPoint("t", gated_point, {"value": 1}), "v")
         assert a1 == a1b
         assert len({a1, a2, other_fn}) == 3
 
@@ -481,21 +490,25 @@ class TestEndToEnd:
         assert metrics["counters"]["dram.RD"] == 7
 
     def test_duplicate_submission_runs_points_once_over_sockets(self):
-        before = RUNS["n"]
+        release, _started = gate("dup-sockets")
         with _ServerThread(jobs=1, use_pool=False) as server:
             results = [None, None]
 
             def hammer(slot):
                 with ServeClient(*server.addr, timeout=30) as client:
                     results[slot] = client.submit(
-                        fn="tests.test_serve:slow_point",
-                        points=[{"value": 70 + i, "delay": 0.05}
+                        fn="tests.gates:gated_point",
+                        points=[{"value": 70 + i, "gate_name": "dup-sockets"}
                                 for i in range(3)])
 
             threads = [threading.Thread(target=hammer, args=(slot,))
                        for slot in range(2)]
             for t in threads:
                 t.start()
+            # The gate holds the first point in flight until the second
+            # submission has deduplicated all three points onto the first.
+            _wait_for(lambda: _counter(server, "serve.points.deduped") >= 3)
+            release.set()
             for t in threads:
                 t.join(timeout=30)
             with ServeClient(*server.addr, timeout=30) as client:
@@ -530,22 +543,27 @@ class TestEndToEnd:
     def test_disconnect_cancels_only_that_clients_queue(self):
         """Dropping a connection mid-sweep cancels its queued points;
         other clients' work proceeds untouched."""
+        release, started = gate("disconnect")
         with _ServerThread(jobs=1, use_pool=False) as server:
-            # Client A floods the single slot with slow points, then
+            # Client A floods the single slot with gated points, then
             # vanishes without reading a single event.
             raw = socket.create_connection(server.addr, timeout=10)
             raw.sendall(protocol.encode({
-                "op": "submit", "fn": "tests.test_serve:slow_point",
-                "points": [{"value": 900 + i, "delay": 0.2}
+                "op": "submit", "fn": "tests.gates:gated_point",
+                "points": [{"value": 900 + i, "gate_name": "disconnect"}
                            for i in range(5)]}))
-            time.sleep(0.15)  # server reads + queues; first point starts
+            assert started.wait(timeout=30)  # queued; first point running
             raw.close()
+            # The four still-queued points die with their client; the
+            # running one finishes once the gate opens.
+            _wait_for(lambda: _counter(server, "serve.points.cancelled") == 4)
+            release.set()
             with ServeClient(*server.addr, timeout=30) as client:
                 job = client.submit(fn="tests.test_serve:quick_point",
                                     points=[{"value": 6}])
                 status = client.status()
         assert job.ok and job.results[0]["value"] == 6
-        assert status["counters"].get("serve.points.cancelled", 0) >= 1
+        assert status["counters"].get("serve.points.cancelled", 0) == 4
         assert status["queued_points"] == 0
 
 
@@ -567,3 +585,22 @@ class TestMetricsSnapshot:
             obs_metrics.uninstall()
         assert snap["counters"] == {"x": 3}
         assert obs_metrics.snapshot() == {}
+
+
+# ---------------------------------------------------------------------------
+# The load generator's point function
+# ---------------------------------------------------------------------------
+
+def test_bench_serve_point_runs():
+    """``scripts/bench_serve.py``'s unit of work runs against the current
+    cache API (``make bench-serve`` depends on it)."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "scripts", "bench_serve.py")
+    spec = importlib.util.spec_from_file_location("bench_serve", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    result = module.bench_point(seed=1, accesses=100)
+    assert result["seed"] == 1 and result["accesses"] == 100
+    assert result["demand_accesses"] == 100
