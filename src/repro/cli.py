@@ -479,77 +479,6 @@ def cmd_recon(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Simulator micro-bench: batched-access ops/s, without the full suite.
-
-    Three workloads span the access path's range: the prefetcher-live
-    streaming sweep (the historical BENCH number), the hit-heavy
-    probe-array replay (the receiver decode shape), and the
-    bank-conflict-alternating replay (the covert channel's full-miss
-    shape, every access a DRAM row-buffer conflict).
-    """
-    import gc
-    import statistics
-    import time
-
-    if args.mode == "history":
-        from repro.analysis import benchhistory
-
-        history = benchhistory.collect_history(args.bench_dir)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(benchhistory.render_history_markdown(history))
-        print(benchhistory.render_history(history))
-        if args.out:
-            print(f"markdown table written to {args.out}")
-        return 0
-
-    n = args.accesses
-    probe = [0x100000 + i * 64 for i in range(256)]
-    # The conflict replay alternates two rows of one bank per access
-    # pair while walking distinct cache lines: every access is both a
-    # full miss and a row-buffer conflict.  Addresses depend only on
-    # the (fixed) paper mapping, so one throwaway system builds them.
-    mapper = System(SystemConfig.paper_default())
-    conflict = []
-    for i in range(n):
-        bank = (i // 2) % mapper.num_banks
-        col = (i // (2 * mapper.num_banks)) % 128
-        pair = i // (2 * mapper.num_banks * 128)
-        conflict.append(mapper.address_of(
-            bank, (2 * pair + (i & 1)) % 4096, col * 64))
-    workloads = [
-        ("stream 64B*7", [(i * 448) % (1 << 24) for i in range(n)], True),
-        ("probe replay", [probe[i & 255] for i in range(n)], False),
-        ("conflict replay", conflict, False),
-    ]
-    gc.collect()
-    gc.freeze()
-    rows = []
-    try:
-        for wname, addrs, prefetch in workloads:
-            samples = []
-            for _ in range(args.runs):
-                config = SystemConfig.paper_default()
-                if not prefetch:
-                    config = replace(
-                        config, hierarchy=replace(
-                            config.hierarchy, prefetchers_enabled=False))
-                system = System(config)
-                system.hierarchy.access_batch(0, probe, 0)
-                started = time.perf_counter()
-                system.hierarchy.access_batch(0, addrs, 10_000)
-                samples.append(n / (time.perf_counter() - started))
-            rows.append((wname, f"{statistics.median(samples):,.0f}"))
-    finally:
-        gc.unfreeze()
-    print(format_table(
-        ["workload", "ops/s"], rows,
-        title=f"simulator micro-bench ({n:,} accesses, "
-              f"median of {args.runs})"))
-    return 0
-
-
 def cmd_detect(args: argparse.Namespace) -> int:
     rows = []
     for name in ("drama-clflush", "impact-pnm", "impact-pum"):
@@ -705,27 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recon", help="reverse-engineer the bank function")
     p.add_argument("--mapping", choices=["row", "line", "xor"], default="xor")
     p.set_defaults(func=cmd_recon)
-
-    p = sub.add_parser(
-        "bench",
-        help="simulator micro-bench: batched-access ops/s per workload;"
-             " `bench history` prints the committed BENCH_PR*.json trend")
-    p.add_argument("mode", nargs="?", choices=["micro", "history"],
-                   default="micro",
-                   help="micro: time the simulator (default); history: "
-                        "per-metric trend across committed BENCH_PR*.json "
-                        "snapshots")
-    p.add_argument("--accesses", type=int, default=200_000, metavar="N",
-                   help="accesses per workload per run (default 200000)")
-    p.add_argument("--runs", type=int, default=3, metavar="N",
-                   help="runs per cell, median reported (default 3)")
-    p.add_argument("--bench-dir", default=".", metavar="DIR",
-                   help="directory holding BENCH_PR*.json (history mode; "
-                        "default: current directory)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write the history table as markdown here "
-                        "(history mode)")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("detect", help="run the cache-monitor detector")
     p.add_argument("--bits", type=int, default=128)

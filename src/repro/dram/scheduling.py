@@ -19,6 +19,7 @@ parallelism saturates realistically.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -125,6 +126,9 @@ class RequestScheduler:
             if request.bank >= self.geometry.num_banks:
                 raise ValueError(f"bank {request.bank} out of range")
         pending: List[Request] = sorted(requests, key=lambda r: r.arrival)
+        # Pending stays arrival-sorted, so the arrived requests are always
+        # the prefix pending[:bisect_right(arrivals, now)].
+        arrivals = [r.arrival for r in pending]
         open_rows: Dict[int, Optional[int]] = {}
         bank_ready: Dict[int, int] = {}
         bus_ready = 0
@@ -132,20 +136,22 @@ class RequestScheduler:
         out: List[ScheduledRequest] = []
         t = self.timings
         while pending:
-            arrived = [r for r in pending if r.arrival <= now]
+            arrived = bisect_right(arrivals, now)
             if not arrived:
-                now = pending[0].arrival
+                now = arrivals[0]
                 continue
-            candidates = arrived[:self.window]
-            chosen = self._pick(candidates, open_rows, bank_ready, now)
-            if chosen is None:
+            candidates = pending[:min(arrived, self.window)]
+            pick = self._pick(candidates, open_rows, bank_ready, now)
+            if pick is None:
                 # every candidate's bank is busy: advance to the earliest
                 # bank-ready or next-arrival instant.
                 horizon = [bank_ready.get(r.bank, 0) for r in candidates]
-                later = [r.arrival for r in pending if r.arrival > now]
-                now = min(x for x in (horizon + later) if x > now)
+                if arrived < len(arrivals):
+                    horizon.append(arrivals[arrived])
+                now = min(x for x in horizon if x > now)
                 continue
-            pending.remove(chosen)
+            chosen = pending.pop(pick)
+            del arrivals[pick]
             start = max(now, chosen.arrival, bank_ready.get(chosen.bank, 0))
             current = open_rows.get(chosen.bank)
             if current is None:
@@ -169,14 +175,17 @@ class RequestScheduler:
 
     def _pick(self, candidates: List[Request],
               open_rows: Dict[int, Optional[int]],
-              bank_ready: Dict[int, int], now: int) -> Optional[Request]:
-        ready = [r for r in candidates if bank_ready.get(r.bank, 0) <= now]
+              bank_ready: Dict[int, int], now: int) -> Optional[int]:
+        """Index into ``candidates`` of the request to serve at ``now``,
+        or ``None`` when every candidate's bank is busy."""
+        ready = [i for i, r in enumerate(candidates)
+                 if bank_ready.get(r.bank, 0) <= now]
         if not ready:
             return None
         if self.policy is SchedulingPolicy.FRFCFS:
-            for request in ready:  # arrival order: first-ready row hit
-                if open_rows.get(request.bank) == request.row:
-                    return request
+            for i in ready:  # arrival order: first-ready row hit
+                if open_rows.get(candidates[i].bank) == candidates[i].row:
+                    return i
         return ready[0]  # oldest
 
 

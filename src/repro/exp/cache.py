@@ -60,6 +60,17 @@ def code_version() -> str:
 DEFAULT_MAX_ENTRIES = 4096
 
 
+def _pid_alive(pid: int) -> bool:
+    """Whether process ``pid`` exists (signal 0 probes without sending)."""
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:
+        return True  # alive, owned by someone else
+    return True
+
+
 class ResultCache:
     """Content-addressed store of sweep-point results.
 
@@ -139,7 +150,8 @@ class ResultCache:
         # A temp file unique to this writer: two processes putting one key
         # at once each rename their own complete file into place (last
         # wins), and a writer killed mid-dump leaves only a stray temp
-        # file that no lookup or listing ever reads.
+        # file that no lookup or listing ever reads (prune() deletes it
+        # once the writer is dead).
         tmp = f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
         try:
             with open(tmp, "x") as handle:
@@ -254,9 +266,35 @@ class ResultCache:
         self.evictions += removed
         return removed
 
+    def _temp_files(self) -> "list[tuple[str, Optional[int]]]":
+        """Writer temp files with the pid embedded in their name:
+        ``<entry>.<pid>.<rand>.tmp`` from :meth:`put` and
+        ``_lru.idx.tmp.<pid>`` from the index (pid ``None`` when the
+        name does not parse)."""
+        if not os.path.isdir(self.directory):
+            return []
+        found = []
+        for name in os.listdir(self.directory):
+            if name.endswith(".tmp"):
+                field = name.split(".")[-3:-2]
+            elif name.startswith(f"{self.INDEX_NAME}.tmp."):
+                field = name.split(".")[-1:]
+            else:
+                continue
+            pid = int(field[0]) if field and field[0].isdigit() else None
+            found.append((os.path.join(self.directory, name), pid))
+        return found
+
     def prune(self) -> int:
         """Drop entries written by other code versions (stale keys);
-        returns how many were removed."""
+        returns how many were removed.  Also deletes the temp files of
+        writers that died mid-write (their pid is no longer alive)."""
+        for path, pid in self._temp_files():
+            if pid is not None and not _pid_alive(pid):
+                try:
+                    os.remove(path)
+                except OSError:
+                    pass
         removed = 0
         index = self._load_index()
         for path in self._entry_paths():
@@ -294,7 +332,8 @@ class ResultCache:
         }
 
     def clear(self) -> int:
-        """Drop every entry; returns how many were removed."""
+        """Drop every entry, the index and every temp file; returns how
+        many entries were removed."""
         removed = 0
         if not os.path.isdir(self.directory):
             return removed
@@ -302,10 +341,11 @@ class ResultCache:
             if name.endswith(".json"):
                 os.remove(os.path.join(self.directory, name))
                 removed += 1
-        try:
-            os.remove(self._index_path())
-        except OSError:
-            pass
+        for path in [self._index_path()] + [p for p, _ in self._temp_files()]:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
         return removed
 
     @staticmethod

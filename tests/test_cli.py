@@ -161,26 +161,6 @@ def test_top_unreachable_daemon(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_bench_history_table_and_markdown(tmp_path, capsys):
-    import json
-
-    (tmp_path / "BENCH_PR1.json").write_text(json.dumps(
-        {"simulator": {"ops_per_sec": 100}, "suite_seconds": 9.0}))
-    (tmp_path / "BENCH_PR2.json").write_text(json.dumps(
-        {"simulator": {"ops_per_sec": 150}, "suite_seconds": 6.0}))
-    out_md = str(tmp_path / "history.md")
-    assert main(["bench", "history", "--bench-dir", str(tmp_path),
-                 "--out", out_md]) == 0
-    out = capsys.readouterr().out
-    assert "benchmark history" in out
-    assert "PR1" in out and "PR2" in out
-    assert "+50.0%" in out
-    with open(out_md) as handle:
-        markdown = handle.read()
-    assert markdown.startswith("# Benchmark history")
-    assert "| simulator.ops_per_sec |" in markdown
-
-
 def test_serve_parser_accepts_telemetry_dir():
     args = build_parser().parse_args(
         ["serve", "--telemetry-dir", "/tmp/x", "--port", "0"])

@@ -7,6 +7,7 @@ from repro.dram.bank import AccessKind
 from repro.dram.scheduling import (
     Request,
     RequestScheduler,
+    ScheduledRequest,
     SchedulingPolicy,
     requests_from_refs,
 )
@@ -139,3 +140,82 @@ def test_empty_trace():
     assert stats.count == 0
     assert stats.mean_latency == 0.0
     assert stats.makespan == 0
+
+
+def _reference_schedule(scheduler, requests):
+    """The scheduler's original O(n^2) loop, kept verbatim as the oracle:
+    rescan every pending request per step, remove the chosen one by
+    value."""
+    pending = sorted(requests, key=lambda r: r.arrival)
+    open_rows, bank_ready = {}, {}
+    bus_ready = now = 0
+    out = []
+    t = scheduler.timings
+    while pending:
+        arrived = [r for r in pending if r.arrival <= now]
+        if not arrived:
+            now = pending[0].arrival
+            continue
+        candidates = arrived[:scheduler.window]
+        ready = [r for r in candidates if bank_ready.get(r.bank, 0) <= now]
+        chosen = None
+        if ready:
+            chosen = ready[0]
+            if scheduler.policy is SchedulingPolicy.FRFCFS:
+                chosen = next((r for r in ready
+                               if open_rows.get(r.bank) == r.row), chosen)
+        if chosen is None:
+            horizon = [bank_ready.get(r.bank, 0) for r in candidates]
+            later = [r.arrival for r in pending if r.arrival > now]
+            now = min(x for x in (horizon + later) if x > now)
+            continue
+        pending.remove(chosen)
+        start = max(now, chosen.arrival, bank_ready.get(chosen.bank, 0))
+        current = open_rows.get(chosen.bank)
+        if current is None:
+            kind, latency = AccessKind.EMPTY, t.empty_cycles
+        elif current == chosen.row:
+            kind, latency = AccessKind.HIT, t.hit_cycles
+        else:
+            kind, latency = AccessKind.CONFLICT, t.conflict_cycles
+        data_time = max(start + latency,
+                        bus_ready + scheduler.BUS_BURST_CYCLES)
+        bus_ready = data_time
+        open_rows[chosen.bank] = chosen.row
+        bank_ready[chosen.bank] = data_time
+        out.append(ScheduledRequest(request=chosen, service_start=start,
+                                    finish=data_time, kind=kind))
+        now = max(now, start)
+    out.sort(key=lambda s: (s.request.arrival, s.service_start))
+    return out
+
+
+def _random_trace(rng, count, banks, rows, bursty):
+    """Arrivals in bursts (many requests on one cycle, duplicates
+    included) or sparse (gaps longer than a row conflict)."""
+    requests, now = [], 0
+    for _ in range(count):
+        if bursty:
+            now += rng.choice((0, 0, 0, 1, 3, 40))
+        else:
+            now += rng.randint(20, 400)
+        requests.append(Request(arrival=now, bank=rng.randrange(banks),
+                                row=rng.randrange(rows),
+                                is_write=rng.random() < 0.3,
+                                requestor=rng.choice(("a", "b"))))
+    rng.shuffle(requests)  # schedule() sorts; ties keep this order
+    return requests
+
+
+@pytest.mark.parametrize("policy", list(SchedulingPolicy))
+@pytest.mark.parametrize("bursty", [True, False])
+@pytest.mark.parametrize("banks", [1, 8])
+def test_schedule_matches_reference_loop(policy, bursty, banks):
+    import random
+
+    rng = random.Random(f"{policy.value}-{bursty}-{banks}")
+    for window in range(1, 17):
+        scheduler = make_scheduler(policy=policy, window=window)
+        requests = _random_trace(rng, 150, banks, rows=3, bursty=bursty)
+        assert (scheduler.schedule(requests).scheduled
+                == _reference_schedule(scheduler, requests)), window

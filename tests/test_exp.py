@@ -510,6 +510,22 @@ class TestResultCacheConcurrency:
         cache = ResultCache(tmp_path, version="v1")
         assert ResultCache.is_missing(cache.get("exp", {"a": 1}))
         assert cache.entry_count() == 0  # the torn temp file is no entry
+        assert [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
+        cache.prune()  # the dead writer's temp file goes
+        assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
+
+    def test_prune_spares_live_writers_and_clear_drops_every_temp(
+            self, tmp_path):
+        cache = ResultCache(tmp_path, version="v1")
+        cache.put("exp", {"a": 1}, {"v": 1})
+        live = [f"exp-x.json.{os.getpid()}.ab12cd34.tmp",
+                f"_lru.idx.tmp.{os.getpid()}"]
+        for name in live + ["exp-y.json.notapid.ab12cd34.tmp"]:
+            (tmp_path / name).write_text("{")
+        assert cache.prune() == 0
+        assert all((tmp_path / name).exists() for name in live)
+        assert cache.clear() == 1
+        assert os.listdir(tmp_path) == []
 
     def test_sigkill_mid_put_keeps_the_previous_entry(self, tmp_path):
         ResultCache(tmp_path, version="v1").put("exp", {"a": 1}, {"old": 1})

@@ -8,14 +8,18 @@ from repro.analysis.quality import relative_spread, wilson_halfwidth
 from repro.exp import (
     AdaptiveConfig,
     ConvergenceTarget,
+    ResultCache,
     SweepPoint,
     WorkerPool,
     bernoulli_probe_point,
     run_adaptive_sweep,
     run_sweep,
+    sweep_points,
 )
 from repro.exp.adaptive import extract_streams
+from repro.exp.figures import fig8_quality_point
 from repro.exp.runner import PoolUnavailableError
+from repro.obs import telemetry
 
 
 def probe(p, bits, **extra):
@@ -157,6 +161,33 @@ class TestAdaptiveEngine:
         assert outcome.fixed_reps == 8
         assert outcome.executed_reps == 2
         assert outcome.rep_savings_ratio == pytest.approx(4.0)
+
+    def test_fig8_quality_sweep_saves_half_the_reps(self, tmp_path):
+        """The fig8-quality sweep at the ``repro sweep --adaptive`` floor:
+        early-stop saves >= 2x the fixed grid's repetitions, every
+        executed rep commits exactly once, and the causal log is clean."""
+        # bits=192 keeps the shortest per-rep stream (DRAMA-eviction, 1/8
+        # of the scale) at 24 trials, so a clean point's pooled CI meets
+        # the 0.05 target at the 2-rep floor instead of straddling it.
+        points = sweep_points("fig8-quality", fig8_quality_point, "llc_mb",
+                              [8.0, 64.0], bits=192)
+        config = AdaptiveConfig(
+            rep_axis="seed", min_reps=2, max_reps=8, round_reps=2,
+            target=ConvergenceTarget(ber_ci_halfwidth=0.05))
+        tele = str(tmp_path / "telemetry")
+        outcome = run_adaptive_sweep(
+            points, config=config, jobs=1,
+            cache=ResultCache(str(tmp_path / "cache")), telemetry_dir=tele)
+        assert outcome.fixed_reps >= 2 * outcome.executed_reps
+        events = telemetry.read_events(tele)
+        assert telemetry.verify_chains(events) == []
+        commits = {}
+        for event in events:
+            if event["event"] == "point_committed":
+                commits[event["span_id"]] = commits.get(event["span_id"],
+                                                        0) + 1
+        assert len(commits) == outcome.executed_reps
+        assert set(commits.values()) == {1}
 
 
 # ---------------------------------------------------------------------------

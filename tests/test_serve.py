@@ -585,22 +585,3 @@ class TestMetricsSnapshot:
             obs_metrics.uninstall()
         assert snap["counters"] == {"x": 3}
         assert obs_metrics.snapshot() == {}
-
-
-# ---------------------------------------------------------------------------
-# The load generator's point function
-# ---------------------------------------------------------------------------
-
-def test_bench_serve_point_runs():
-    """``scripts/bench_serve.py``'s unit of work runs against the current
-    cache API (``make bench-serve`` depends on it)."""
-    import importlib.util
-
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "scripts", "bench_serve.py")
-    spec = importlib.util.spec_from_file_location("bench_serve", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    result = module.bench_point(seed=1, accesses=100)
-    assert result["seed"] == 1 and result["accesses"] == 100
-    assert result["demand_accesses"] == 100
