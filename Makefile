@@ -24,6 +24,6 @@ results:
 	pytest tests/ 2>&1 | tee test_output.txt
 	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-clean:
-	rm -rf benchmarks/results .pytest_cache .benchmarks
+clean: bench-clean
+	rm -rf .pytest_cache .benchmarks
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -192,13 +192,14 @@ class RequestScheduler:
 def requests_from_refs(refs, geometry: DRAMGeometry, mapping,
                        arrival_gap: int = 20,
                        requestor: str = "cpu") -> List[Request]:
-    """Turn a :class:`MemoryRef` stream into scheduler requests arriving
-    at a fixed cadence (a bandwidth-bound core's miss stream)."""
+    """Turn a :class:`~repro.workloads.kernels.RefStream` into scheduler
+    requests arriving at a fixed cadence (a bandwidth-bound core's miss
+    stream)."""
     requests: List[Request] = []
     capacity = geometry.capacity_bytes
-    for i, ref in enumerate(refs):
-        loc = mapping.decode(ref.addr % capacity)
+    for i, (addr, is_write) in enumerate(zip(refs.addr, refs.is_write)):
+        loc = mapping.decode(addr % capacity)
         requests.append(Request(arrival=i * arrival_gap, bank=loc.bank,
-                                row=loc.row, is_write=ref.is_write,
+                                row=loc.row, is_write=bool(is_write),
                                 requestor=requestor))
     return requests

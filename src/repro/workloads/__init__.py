@@ -16,7 +16,7 @@ row locality, not on the absolute graph size.
 from repro.workloads.graphs import CSRGraph, generate_graph
 from repro.workloads.kernels import (
     KERNELS,
-    MemoryRef,
+    RefStream,
     WorkloadSpec,
     bc_kernel,
     bfs_kernel,
@@ -35,16 +35,14 @@ from repro.workloads.runner import (
 )
 from repro.workloads.trace import (
     TraceProfile,
-    load_trace,
     profile_trace,
-    save_trace,
 )
 
 __all__ = [
     "CSRGraph",
     "DefenseEvaluation",
     "KERNELS",
-    "MemoryRef",
+    "RefStream",
     "RunResult",
     "TraceProfile",
     "WarmupCache",
@@ -55,9 +53,7 @@ __all__ = [
     "evaluate_defenses",
     "fig11_config",
     "generate_graph",
-    "load_trace",
     "profile_trace",
-    "save_trace",
     "pagerank_kernel",
     "run_multiprogrammed",
     "tc_kernel",

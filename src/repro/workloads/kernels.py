@@ -1,31 +1,69 @@
 """The five GraphBIG kernels as instrumented memory-reference generators.
 
-Each kernel runs the real algorithm over a CSR graph and yields a
-:class:`MemoryRef` for every data-structure touch: CSR offset/edge reads
-(sequential), per-node property reads/writes (random for BFS/CC, streamed
-for PR), etc.  Per-node record sizes follow each workload's property
-struct so the working sets reproduce the paper's LLC MPKI ordering
+Each kernel runs the real algorithm over a CSR graph and yields one
+``(pc, addr, is_write)`` tuple per data-structure touch: CSR offset/edge
+reads (sequential), per-node property reads/writes (random for BFS/CC,
+streamed for PR), etc.  :meth:`WorkloadSpec.refs` collects them into a
+:class:`RefStream`, the flat-column form both Fig. 11 replay paths read.
+Per-node record sizes follow each workload's property struct so the
+working sets reproduce the paper's LLC MPKI ordering
 (BC 0.57 < PR 1.86 < TC 5.08 < BFS 38.59 < CC 45.2) at simulation scale.
 """
 
 from __future__ import annotations
 
-import random
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from itertools import islice
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.workloads.graphs import CSRGraph, generate_graph
 
+#: One memory touch as a kernel yields it: ``(pc, addr, is_write)``.
+Ref = Tuple[int, int, bool]
+
+#: Compute gaps stay below this so every replay clock fits 64 bits.
+MAX_COMPUTE = 1 << 32
+
 
 @dataclass(frozen=True)
-class MemoryRef:
-    """One memory touch: preceded by ``compute_cycles`` of non-memory work."""
+class RefStream:
+    """A reference stream as flat columns.
 
-    addr: int
-    is_write: bool
-    pc: int
-    compute_cycles: int
+    Reference ``i`` touches ``addr[i]`` from instruction ``pc[i]`` (a
+    write when ``is_write[i]``) after ``compute`` cycles of non-memory
+    work; every reference of a stream has the same gap.  ``addr`` and
+    ``pc`` are ``array('q')`` and ``is_write`` is ``array('B')``, so a
+    value that does not fit the replay kernel's integers is rejected when
+    the stream is built, and the kernel reads the buffers in place.
+    """
+
+    addr: array
+    pc: array
+    is_write: array
+    compute: int
+
+    def __post_init__(self) -> None:
+        if not len(self.addr) == len(self.pc) == len(self.is_write):
+            raise ValueError("RefStream columns differ in length")
+        if not 0 <= self.compute < MAX_COMPUTE:
+            raise ValueError(f"compute gap {self.compute} outside "
+                             f"[0, {MAX_COMPUTE})")
+
+    def __len__(self) -> int:
+        return len(self.addr)
+
+    @classmethod
+    def from_refs(cls, refs: Iterable[Ref], compute: int) -> "RefStream":
+        """Collect ``(pc, addr, is_write)`` tuples into columns."""
+        addr, pc, is_write = array("q"), array("q"), array("B")
+        add_addr, add_pc, add_write = addr.append, pc.append, is_write.append
+        for ref_pc, ref_addr, ref_write in refs:
+            add_pc(ref_pc)
+            add_addr(ref_addr)
+            add_write(ref_write)
+        return cls(addr, pc, is_write, compute)
 
 
 @dataclass(frozen=True)
@@ -54,83 +92,72 @@ class Layout:
 
 
 # PC labels, one per access site, so the prefetchers see stable streams.
-_PC = {name: 0x400000 + i * 16 for i, name in enumerate(
-    ["offset", "edge", "node_r", "node_w", "aux_r", "aux_w"])}
+OFFSET, EDGE, NODE_R, NODE_W, AUX_R, AUX_W = (0x400000 + i * 16
+                                              for i in range(6))
 
-KernelFn = Callable[..., Iterator[MemoryRef]]
-
-
-def _ref(layout: Layout, site: str, addr: int, compute: int,
-         is_write: bool = False) -> MemoryRef:
-    return MemoryRef(addr=addr, is_write=is_write, pc=_PC[site],
-                     compute_cycles=compute)
+KernelFn = Callable[..., Iterator[Ref]]
 
 
 # ---------------------------------------------------------------------------
 # Kernels
 # ---------------------------------------------------------------------------
 
-def bfs_kernel(graph: CSRGraph, layout: Layout, compute: int = 2,
-               source: int = 0) -> Iterator[MemoryRef]:
+def bfs_kernel(graph: CSRGraph, layout: Layout,
+               source: int = 0) -> Iterator[Ref]:
     """Breadth-first search: sequential CSR scans + random visited checks."""
     visited = [False] * graph.num_nodes
     visited[source] = True
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        yield _ref(layout, "offset", layout.offset_addr(u), compute)
-        yield _ref(layout, "offset", layout.offset_addr(u + 1), compute)
+        yield OFFSET, layout.offset_addr(u), False
+        yield OFFSET, layout.offset_addr(u + 1), False
         for i in range(graph.offsets[u], graph.offsets[u + 1]):
-            yield _ref(layout, "edge", layout.edge_addr(i), compute)
+            yield EDGE, layout.edge_addr(i), False
             v = graph.edges[i]
-            yield _ref(layout, "node_r", layout.data_addr(v), compute)
+            yield NODE_R, layout.data_addr(v), False
             if not visited[v]:
                 visited[v] = True
-                yield _ref(layout, "node_w", layout.data_addr(v), compute,
-                           is_write=True)
+                yield NODE_W, layout.data_addr(v), True
                 queue.append(v)
 
 
-def pagerank_kernel(graph: CSRGraph, layout: Layout, compute: int = 6,
-                    iterations: int = 1,
-                    damping: float = 0.85) -> Iterator[MemoryRef]:
+def pagerank_kernel(graph: CSRGraph, layout: Layout, iterations: int = 1,
+                    damping: float = 0.85) -> Iterator[Ref]:
     """PageRank: streaming CSR traversal + rank gathers + rank writes."""
     rank = [1.0 / graph.num_nodes] * graph.num_nodes
     for _ in range(iterations):
         new_rank = [0.0] * graph.num_nodes
         for u in range(graph.num_nodes):
-            yield _ref(layout, "offset", layout.offset_addr(u), compute)
+            yield OFFSET, layout.offset_addr(u), False
             total = 0.0
             for i in range(graph.offsets[u], graph.offsets[u + 1]):
-                yield _ref(layout, "edge", layout.edge_addr(i), compute)
+                yield EDGE, layout.edge_addr(i), False
                 v = graph.edges[i]
-                yield _ref(layout, "node_r", layout.data_addr(v), compute)
+                yield NODE_R, layout.data_addr(v), False
                 degree = max(1, graph.degree(v))
                 total += rank[v] / degree
             new_rank[u] = (1 - damping) / graph.num_nodes + damping * total
-            yield _ref(layout, "aux_w", layout.data2_addr(u), compute,
-                       is_write=True)
+            yield AUX_W, layout.data2_addr(u), True
         rank = new_rank
 
 
-def cc_kernel(graph: CSRGraph, layout: Layout,
-              compute: int = 2) -> Iterator[MemoryRef]:
+def cc_kernel(graph: CSRGraph, layout: Layout) -> Iterator[Ref]:
     """Connected components via union-find: random parent-chain walks."""
     parent = list(range(graph.num_nodes))
 
     def find(x: int):
         # Path halving: every hop is a random-looking parent read.
         while parent[x] != x:
-            yield _ref(layout, "node_r", layout.data_addr(parent[x]), compute)
+            yield NODE_R, layout.data_addr(parent[x]), False
             parent[x] = parent[parent[x]]
-            yield _ref(layout, "node_w", layout.data_addr(x), compute,
-                       is_write=True)
+            yield NODE_W, layout.data_addr(x), True
             x = parent[x]
         return x
 
     for u in range(graph.num_nodes):
         for i in range(graph.offsets[u], graph.offsets[u + 1]):
-            yield _ref(layout, "edge", layout.edge_addr(i), compute)
+            yield EDGE, layout.edge_addr(i), False
             v = graph.edges[i]
             if v < u:
                 continue
@@ -138,18 +165,16 @@ def cc_kernel(graph: CSRGraph, layout: Layout,
             root_v = yield from find(v)
             if root_u != root_v:
                 parent[root_v] = root_u
-                yield _ref(layout, "node_w", layout.data_addr(root_v),
-                           compute, is_write=True)
+                yield NODE_W, layout.data_addr(root_v), True
 
 
-def tc_kernel(graph: CSRGraph, layout: Layout,
-              compute: int = 6) -> Iterator[MemoryRef]:
+def tc_kernel(graph: CSRGraph, layout: Layout) -> Iterator[Ref]:
     """Triangle counting: sorted-adjacency intersections (merge scans)."""
     triangles = 0
     for u in range(graph.num_nodes):
-        yield _ref(layout, "offset", layout.offset_addr(u), compute)
+        yield OFFSET, layout.offset_addr(u), False
         for i in range(graph.offsets[u], graph.offsets[u + 1]):
-            yield _ref(layout, "edge", layout.edge_addr(i), compute)
+            yield EDGE, layout.edge_addr(i), False
             v = graph.edges[i]
             if v <= u:
                 continue
@@ -157,8 +182,8 @@ def tc_kernel(graph: CSRGraph, layout: Layout,
             pi, pj = graph.offsets[u], graph.offsets[v]
             end_i, end_j = graph.offsets[u + 1], graph.offsets[v + 1]
             while pi < end_i and pj < end_j:
-                yield _ref(layout, "edge", layout.edge_addr(pi), compute)
-                yield _ref(layout, "edge", layout.edge_addr(pj), compute)
+                yield EDGE, layout.edge_addr(pi), False
+                yield EDGE, layout.edge_addr(pj), False
                 a, b = graph.edges[pi], graph.edges[pj]
                 if a == b:
                     if a > v:
@@ -171,8 +196,8 @@ def tc_kernel(graph: CSRGraph, layout: Layout,
                     pj += 1
 
 
-def bc_kernel(graph: CSRGraph, layout: Layout, compute: int = 16,
-              num_sources: int = 2) -> Iterator[MemoryRef]:
+def bc_kernel(graph: CSRGraph, layout: Layout,
+              num_sources: int = 2) -> Iterator[Ref]:
     """Betweenness centrality (Brandes): BFS + dependency accumulation
     from a few sources over a small, cache-resident working set."""
     for source in range(num_sources):
@@ -185,27 +210,25 @@ def bc_kernel(graph: CSRGraph, layout: Layout, compute: int = 16,
         while queue:
             u = queue.popleft()
             order.append(u)
-            yield _ref(layout, "offset", layout.offset_addr(u), compute)
+            yield OFFSET, layout.offset_addr(u), False
             for i in range(graph.offsets[u], graph.offsets[u + 1]):
-                yield _ref(layout, "edge", layout.edge_addr(i), compute)
+                yield EDGE, layout.edge_addr(i), False
                 v = graph.edges[i]
-                yield _ref(layout, "node_r", layout.data_addr(v), compute)
+                yield NODE_R, layout.data_addr(v), False
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     queue.append(v)
                 if dist[v] == dist[u] + 1:
                     sigma[v] += sigma[u]
-                    yield _ref(layout, "node_w", layout.data_addr(v),
-                               compute, is_write=True)
+                    yield NODE_W, layout.data_addr(v), True
         delta = [0.0] * graph.num_nodes
         for u in reversed(order):
-            yield _ref(layout, "aux_r", layout.data2_addr(u), compute)
+            yield AUX_R, layout.data2_addr(u), False
             for i in range(graph.offsets[u], graph.offsets[u + 1]):
                 v = graph.edges[i]
                 if dist[v] == dist[u] + 1 and sigma[v]:
                     delta[u] += sigma[u] / sigma[v] * (1 + delta[v])
-            yield _ref(layout, "aux_w", layout.data2_addr(u), compute,
-                       is_write=True)
+            yield AUX_W, layout.data2_addr(u), True
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +263,12 @@ class WorkloadSpec:
         return Layout(node_bytes=self.node_bytes, edge_bytes=self.edge_bytes)
 
     def refs(self, graph: Optional[CSRGraph] = None,
-             max_refs: Optional[int] = None) -> List[MemoryRef]:
+             max_refs: Optional[int] = None) -> RefStream:
         """Materialize the reference stream (optionally truncated)."""
         g = graph if graph is not None else self.build_graph()
-        stream: List[MemoryRef] = []
-        for ref in self.kernel(g, self.layout(), compute=self.compute_cycles):
-            stream.append(ref)
-            if max_refs is not None and len(stream) >= max_refs:
-                break
-        return stream
+        return RefStream.from_refs(
+            islice(self.kernel(g, self.layout()), max_refs),
+            self.compute_cycles)
 
 
 KERNELS: Dict[str, WorkloadSpec] = {

@@ -13,9 +13,11 @@ reference.  The kernel declines when:
 - a cache uses ``random`` replacement, refresh is enabled, or bank
   partitioning is active;
 - a stream address lies outside ``[0, capacity)`` (the Python path then
-  raises its ``ValueError`` at the same reference), or a stream holds
-  values that do not fit the kernel's 64-bit integers;
+  raises its ``ValueError`` at the same reference);
 - no C compiler is on ``PATH`` or the build fails.
+
+The kernel reads each :class:`~repro.workloads.kernels.RefStream`'s
+``array`` columns in place, so a stream is never copied to be replayed.
 
 The kernel is built on first use with ``cc -O2 -shared -fPIC`` into
 ``__pycache__/replay-<hash>.so`` beside the source (the hash covers the
@@ -45,6 +47,7 @@ from repro.cache.replacement import LRUPolicy, SRRIPPolicy
 from repro.dram.address import (LineInterleavedMapping, RowInterleavedMapping,
                                 XorBankMapping)
 from repro.dram.controller import MemoryController, RequestorStats
+from repro.workloads.kernels import RefStream
 
 _SOURCE = Path(__file__).with_name("replay.c")
 _FLAGS = ("-O2", "-shared", "-fPIC")
@@ -75,8 +78,8 @@ class _Table(ctypes.Structure):
 
 
 class _Stream(ctypes.Structure):
-    _fields_ = [("n", _I64), ("addr", _PTR), ("pc", _PTR),
-                ("compute", _PTR), ("writes", _PTR), ("has_pc", _PTR)]
+    _fields_ = [("n", _I64), ("compute", _I64), ("addr", _PTR),
+                ("pc", _PTR), ("writes", _PTR)]
 
 
 class _Machine(ctypes.Structure):
@@ -202,28 +205,6 @@ def _declines(system, streams: Sequence) -> bool:
         type(pf) is StreamerPrefetcher for pf in hierarchy._l2_prefetchers)
 
 
-def _pack_stream(stream: Sequence) -> Optional[tuple]:
-    """``(_Stream, buffers)`` for one reference stream, or None when a
-    value does not fit 64 bits.  The kernel range-checks the rest."""
-    try:
-        addrs = array("q", [ref.addr for ref in stream])
-        pc_list = [ref.pc for ref in stream]
-        compute = array("q", [ref.compute_cycles for ref in stream])
-        writes = array("B", [bool(ref.is_write) for ref in stream])
-        if None in pc_list:
-            has_pc = array("B", [pc is not None for pc in pc_list])
-            pcs = array("q", [pc or 0 for pc in pc_list])
-        else:
-            has_pc = array("B")
-            pcs = array("q", pc_list)
-    except (OverflowError, TypeError):
-        return None
-    packed = _Stream(n=len(addrs), addr=_addr(addrs), pc=_addr(pcs),
-                     compute=_addr(compute), writes=_addr(writes),
-                     has_pc=_addr(has_pc) if has_pc else None)
-    return packed, (addrs, pcs, compute, writes, has_pc)
-
-
 class _CacheState:
     """One cache's state in kernel form, and the copy back."""
 
@@ -335,7 +316,7 @@ _CREQ = ("reads", "writes", "activates", "rowclones", "hits", "conflicts")
 _BANK_WIDTH = 9
 
 
-def replay(system, streams: Sequence[Sequence]):
+def replay(system, streams: Sequence[RefStream]):
     """Run the replay in the compiled kernel; returns the
     :class:`~repro.workloads.runner.RunResult`, or ``None`` (with the
     System untouched) when the kernel declines the run."""
@@ -345,12 +326,6 @@ def replay(system, streams: Sequence[Sequence]):
         return None
     hierarchy, controller = system.hierarchy, system.controller
     mapper = controller.mapper
-    packed = {}
-    for stream in streams:
-        if id(stream) not in packed:
-            packed[id(stream)] = _pack_stream(stream)
-            if packed[id(stream)] is None:
-                return None
     fn = _kernel()[0]
     if fn is None:
         return None
@@ -358,8 +333,12 @@ def replay(system, streams: Sequence[Sequence]):
     m = _Machine()
     ncores = hierarchy.config.num_cores
     m.ncores, m.nstreams = ncores, len(streams)
+    # The structs point into the streams' own buffers, which the caller
+    # keeps alive for the whole call.
     stream_structs = (_Stream * max(1, len(streams)))(
-        *[packed[id(stream)][0] for stream in streams])
+        *[_Stream(n=len(s), compute=s.compute, addr=_addr(s.addr),
+                  pc=_addr(s.pc), writes=_addr(s.is_write))
+          for s in streams])
     m.streams = ctypes.addressof(stream_structs)
 
     l1s = (_Cache * ncores)()

@@ -37,11 +37,12 @@ typedef struct {
                              streamer: region line direction */
 } Table;
 
+/* A RefStream's columns, read in place: reference i touches addr[i]
+ * from pc[i] (a write when writes[i]) after compute cycles of work. */
 typedef struct {
-    int64_t n;
-    int64_t *addr, *pc, *compute;
+    int64_t n, compute;
+    int64_t *addr, *pc;
     uint8_t *writes;
-    uint8_t *has_pc;      /* 0 where pc is None; NULL: every pc is set */
 } Stream;
 
 enum { CACHE_HITS, CACHE_MISSES, CACHE_FILLS, CACHE_EVICTIONS,
@@ -547,11 +548,8 @@ static void table_trim(Table *t, int64_t width)
 /* IPStridePrefetcher.observe; writes candidates to out, returns how
  * many.  Negative candidates are left in: the caller's range check
  * skips them, exactly as Python's filter would have dropped them. */
-static int64_t ip_observe(Table *t, int has_pc, int64_t pc, int64_t addr,
-                          int64_t *out)
+static int64_t ip_observe(Table *t, int64_t pc, int64_t addr, int64_t *out)
 {
-    if (!has_pc)
-        return 0;
     int64_t i = table_find(t, 4, pc);
     if (i < 0) {
         int64_t *row = table_append(t, 4);
@@ -617,14 +615,14 @@ static int64_t streamer_observe(Table *t, int64_t addr, int64_t *out)
 }
 
 /* _run_prefetchers. */
-static void run_prefetchers(Run *r, int64_t core, int has_pc, int64_t pc,
-                            int64_t addr, int64_t time)
+static void run_prefetchers(Run *r, int64_t core, int64_t pc, int64_t addr,
+                            int64_t time)
 {
     Machine *m = r->m;
     if (!m->prefetch)
         return;
     int64_t *cand = r->candidates;
-    int64_t n = ip_observe(&m->ip[core], has_pc, pc, addr, cand);
+    int64_t n = ip_observe(&m->ip[core], pc, addr, cand);
     n += streamer_observe(&m->streamer[core], addr, cand + n);
     for (int64_t k = 0; k < n; k++) {
         int64_t pa = cand[k];
@@ -650,8 +648,8 @@ static void run_prefetchers(Run *r, int64_t core, int has_pc, int64_t pc,
 
 /* CacheHierarchy.access; returns the finish time, sets *level. */
 static int64_t hierarchy_access(Run *r, int64_t core, int64_t addr,
-                                int64_t issued, int is_write, int has_pc,
-                                int64_t pc, int *level)
+                                int64_t issued, int is_write, int64_t pc,
+                                int *level)
 {
     Machine *m = r->m;
     int64_t stall = 0, completion;
@@ -696,7 +694,7 @@ static int64_t hierarchy_access(Run *r, int64_t core, int64_t addr,
     s[R_ACCESSES]++;
     if (*level == 0)
         s[R_MISSES]++;
-    run_prefetchers(r, core, has_pc, pc, addr, issued + latency);
+    run_prefetchers(r, core, pc, addr, issued + latency);
     return issued + latency;
 }
 
@@ -704,7 +702,8 @@ static int64_t hierarchy_access(Run *r, int64_t core, int64_t addr,
 /* The replay loop (runner._replay_python)                              */
 /* ------------------------------------------------------------------ */
 
-/* Compute gaps are bounded so every clock stays far inside int64. */
+/* Compute gaps are bounded so every clock stays far inside int64
+ * (RefStream enforces the same bound, kernels.MAX_COMPUTE). */
 #define MAX_COMPUTE (INT64_C(1) << 32)
 
 /* 1 if every address lies in [0, capacity) and every compute gap is
@@ -714,10 +713,10 @@ static int streams_in_range(const Machine *m)
 {
     for (int64_t c = 0; c < m->nstreams; c++) {
         const Stream *s = &m->streams[c];
+        if (s->compute < 0 || s->compute >= MAX_COMPUTE)
+            return 0;
         for (int64_t i = 0; i < s->n; i++)
-            if (s->addr[i] < 0 || s->addr[i] >= m->capacity
-                    || s->compute[i] <= -MAX_COMPUTE
-                    || s->compute[i] >= MAX_COMPUTE)
+            if (s->addr[i] < 0 || s->addr[i] >= m->capacity)
                 return 0;
     }
     return 1;
@@ -763,11 +762,9 @@ int replay(Machine *m)
         int64_t i = cursor[core]++;
         int level;
         times[core] = hierarchy_access(&r, core, s->addr[i],
-                                       times[core] + s->compute[i],
-                                       s->writes[i],
-                                       s->has_pc ? s->has_pc[i] : 1,
-                                       s->pc[i], &level);
-        instructions += 1 + s->compute[i];
+                                       times[core] + s->compute,
+                                       s->writes[i], s->pc[i], &level);
+        instructions += 1 + s->compute;
         refs++;
         if (level == 0)
             misses++;

@@ -22,7 +22,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.config import SystemConfig
 from repro.sim.snapshot import SystemSnapshot
 from repro.system import System
-from repro.workloads.kernels import MemoryRef, WorkloadSpec, workload_spec
+from repro.workloads.kernels import RefStream, workload_spec
 
 
 @dataclass
@@ -46,7 +46,7 @@ class RunResult:
         return self.instructions / self.cycles if self.cycles else 0.0
 
 
-def _warm(system: System, streams: Sequence[Sequence[MemoryRef]]) -> None:
+def _warm(system: System, streams: Sequence[RefStream]) -> None:
     """One warm-up replay, then rebase the clock and zero the counters so
     the measured replay starts from cycle 0 on a warm machine (§5.1)."""
     _replay(system, streams)
@@ -87,7 +87,7 @@ class WarmupCache:
     def __len__(self) -> int:
         return len(self._snapshots)
 
-    def warm(self, system: System, streams: Sequence[Sequence[MemoryRef]],
+    def warm(self, system: System, streams: Sequence[RefStream],
              *, key: Optional[Hashable] = None) -> bool:
         """Bring ``system`` to its post-warm-up state; True on a cache hit
         (state restored from a snapshot instead of replayed)."""
@@ -122,7 +122,7 @@ class WarmupCache:
 
 
 def run_multiprogrammed(system: System,
-                        streams: Sequence[Sequence[MemoryRef]],
+                        streams: Sequence[RefStream],
                         warmup: bool = True,
                         warm_cache: Optional[WarmupCache] = None,
                         warm_key: Optional[Hashable] = None) -> RunResult:
@@ -147,7 +147,7 @@ def run_multiprogrammed(system: System,
 
 
 def _replay(system: System,
-            streams: Sequence[Sequence[MemoryRef]]) -> RunResult:
+            streams: Sequence[RefStream]) -> RunResult:
     """Replay ``streams`` in the compiled kernel
     (:mod:`repro.workloads.native`), or in :func:`_replay_python` when
     the kernel declines the run."""
@@ -160,7 +160,7 @@ def _replay(system: System,
 
 
 def _replay_python(system: System,
-                   streams: Sequence[Sequence[MemoryRef]]) -> RunResult:
+                   streams: Sequence[RefStream]) -> RunResult:
     """The reference replay loop; the kernel reproduces it bit for bit."""
     if len(streams) > system.config.hierarchy.num_cores:
         raise ValueError("more streams than cores")
@@ -175,17 +175,18 @@ def _replay_python(system: System,
     key = times.__getitem__
     while len(active) > 1:
         core = min(active, key=key)
-        ref = streams[core][cursors[core]]
-        start = times[core] + ref.compute_cycles
-        result = access(core, ref.addr, start, is_write=ref.is_write,
-                        pc=ref.pc, requestor=requestors[core])
+        stream = streams[core]
+        i = cursors[core]
+        result = access(core, stream.addr[i], times[core] + stream.compute,
+                        is_write=bool(stream.is_write[i]), pc=stream.pc[i],
+                        requestor=requestors[core])
         times[core] = result.finish
-        instructions += 1 + ref.compute_cycles  # 1-IPC compute model
+        instructions += 1 + stream.compute  # 1-IPC compute model
         refs += 1
         if result.hit_level == 0:
             llc_misses += 1
         cursors[core] += 1
-        if cursors[core] >= len(streams[core]):
+        if cursors[core] >= len(stream):
             active.remove(core)
     if active:
         # One runnable core left: no interleaving decisions remain, so
@@ -194,14 +195,14 @@ def _replay_python(system: System,
         core = active[0]
         stream = streams[core]
         requestor = requestors[core]
+        compute = stream.compute
         now = times[core]
         for i in range(cursors[core], len(stream)):
-            ref = stream[i]
-            result = access(core, ref.addr, now + ref.compute_cycles,
-                            is_write=ref.is_write, pc=ref.pc,
-                            requestor=requestor)
+            result = access(core, stream.addr[i], now + compute,
+                            is_write=bool(stream.is_write[i]),
+                            pc=stream.pc[i], requestor=requestor)
             now = result.finish
-            instructions += 1 + ref.compute_cycles
+            instructions += 1 + compute
             refs += 1
             if result.hit_level == 0:
                 llc_misses += 1
@@ -259,7 +260,7 @@ def evaluate_defenses(name: str, base_config: Optional[SystemConfig] = None,
                       max_refs: int = 60_000,
                       policies: Sequence[str] = ("open", "crp", "ctd"),
                       warm_cache: Optional[WarmupCache] = None,
-                      stream: Optional[Sequence[MemoryRef]] = None,
+                      stream: Optional[RefStream] = None,
                       ) -> DefenseEvaluation:
     """Run one Fig. 11 workload under each row policy.
 

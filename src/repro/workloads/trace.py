@@ -3,21 +3,19 @@
 The §6 defense overheads are functions of each workload's *memory
 behaviour*: how many accesses reach DRAM, how much row-buffer locality
 they carry, and how they spread across banks.  This module computes those
-characteristics directly from a reference stream (plus serialization for
-sharing traces between runs), so workload scaling decisions are auditable
-rather than folklore.
+characteristics directly from a reference stream, so workload scaling
+decisions are auditable rather than folklore.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.analysis.stats import percentile as _percentile
 from repro.dram.address import AddressMapping, DRAMGeometry, make_mapping
-from repro.workloads.kernels import MemoryRef
+from repro.workloads.kernels import RefStream
 
 
 @dataclass
@@ -64,7 +62,7 @@ class TraceProfile:
                 f"bank balance {self.bank_balance:.2f}")
 
 
-def profile_trace(refs: Sequence[MemoryRef],
+def profile_trace(refs: RefStream,
                   geometry: Optional[DRAMGeometry] = None,
                   mapping: str = "row",
                   line_bytes: int = 64,
@@ -85,10 +83,9 @@ def profile_trace(refs: Sequence[MemoryRef],
     stack: "OrderedDict[int, None]" = OrderedDict()
     writes = 0
     row_switches = 0
-    for i, ref in enumerate(refs):
-        addr = ref.addr % capacity
-        if ref.is_write:
-            writes += 1
+    for addr, is_write in zip(refs.addr, refs.is_write):
+        addr %= capacity
+        writes += is_write
         loc = mapper.decode(addr)
         previous = open_rows.get(loc.bank)
         if previous is not None and previous != loc.row:
@@ -123,38 +120,3 @@ def profile_trace(refs: Sequence[MemoryRef],
         reuse_distance_p50=percentile(reuse_distances, 0.5),
         reuse_distance_p90=percentile(reuse_distances, 0.9),
     )
-
-
-# ---------------------------------------------------------------------------
-# Serialization (share traces between runs / tools)
-# ---------------------------------------------------------------------------
-
-def save_trace(refs: Iterable[MemoryRef], path: str) -> int:
-    """Write a reference stream as JSON lines; returns the count."""
-    count = 0
-    with open(path, "w") as handle:
-        for ref in refs:
-            handle.write(json.dumps({
-                "addr": ref.addr, "w": int(ref.is_write),
-                "pc": ref.pc, "c": ref.compute_cycles}) + "\n")
-            count += 1
-    return count
-
-
-def load_trace(path: str) -> List[MemoryRef]:
-    """Read a reference stream written by :func:`save_trace`."""
-    refs: List[MemoryRef] = []
-    with open(path) as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-                refs.append(MemoryRef(addr=record["addr"],
-                                      is_write=bool(record["w"]),
-                                      pc=record["pc"],
-                                      compute_cycles=record["c"]))
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad trace record") from exc
-    return refs

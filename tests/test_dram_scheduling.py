@@ -116,13 +116,13 @@ def test_window_bounds_reordering():
 
 def test_requests_from_refs_conversion():
     from repro.dram import make_mapping
-    from repro.workloads.kernels import MemoryRef
-    refs = [MemoryRef(addr=i * 64, is_write=False, pc=0, compute_cycles=1)
-            for i in range(10)]
+    from repro.workloads.kernels import RefStream
+    refs = RefStream.from_refs([(0, i * 64, i == 3) for i in range(10)], 1)
     mapping = make_mapping("row", GEOM)
     requests = requests_from_refs(refs, GEOM, mapping, arrival_gap=5)
     assert len(requests) == 10
     assert requests[3].arrival == 15
+    assert [r.is_write for r in requests] == [i == 3 for i in range(10)]
     assert all(0 <= r.bank < GEOM.num_banks for r in requests)
 
 

@@ -15,6 +15,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -31,7 +32,7 @@ from repro.dram.timings import DRAMTimings
 from repro.obs import Observer
 from repro.system import System
 from repro.workloads import evaluate_defenses, native, runner
-from repro.workloads.kernels import MemoryRef
+from repro.workloads.kernels import RefStream
 
 # Skip only without a compiler: a kernel that fails to build must fail
 # these tests, not skip them.
@@ -43,7 +44,7 @@ needs_kernel = pytest.mark.skipif(native._compiler() is None,
 GEOMETRY = DRAMGeometry(ranks=1, banks_per_rank=4, rows_per_bank=64,
                         row_bytes=1024, subarrays_per_bank=4)
 CAPACITY = GEOMETRY.capacity_bytes
-PCS = (None, 0x40, 0x50, 0x60)
+PCS = (0x40, 0x50, 0x60, 0x70)
 
 
 def make_config(policy: str = "open", timeout_ns: float = 0.0,
@@ -70,7 +71,18 @@ def fresh(config: SystemConfig, **kwargs) -> System:
     return System(config, sanitize=False, **kwargs)
 
 
-def random_stream(rng: random.Random, length: int) -> list:
+def stream(addrs, writes=None) -> RefStream:
+    """Reads (or ``writes``) of ``addrs`` from PC 0x40, one cycle apart."""
+    return RefStream(array("q", addrs), array("q", [0x40] * len(addrs)),
+                     array("B", writes or [0] * len(addrs)), 1)
+
+
+def reversed_stream(refs: RefStream) -> RefStream:
+    return RefStream(refs.addr[::-1], refs.pc[::-1], refs.is_write[::-1],
+                     refs.compute)
+
+
+def random_stream(rng: random.Random, length: int) -> RefStream:
     """Random touches of a small working set, strided runs (prefetcher
     fodder) and runs that walk off either end of memory."""
     refs = []
@@ -79,8 +91,7 @@ def random_stream(rng: random.Random, length: int) -> list:
         pc = rng.choice(PCS)
         if kind < 0.5:
             addr = rng.randrange(0, 48 * 1024)
-            refs.append(MemoryRef(addr, rng.random() < 0.3, pc,
-                                  rng.randrange(0, 6)))
+            refs.append((pc, addr, rng.random() < 0.3))
             continue
         stride = rng.choice((64, -64, 128, 8, 4096, -192))
         if kind < 0.65:
@@ -92,9 +103,8 @@ def random_stream(rng: random.Random, length: int) -> list:
         for i in range(rng.randrange(3, 9)):
             addr = start + i * stride
             if 0 <= addr < CAPACITY:
-                refs.append(MemoryRef(addr, rng.random() < 0.2, pc or 0x70,
-                                      rng.randrange(0, 4)))
-    return refs[:length]
+                refs.append((pc, addr, rng.random() < 0.2))
+    return RefStream.from_refs(refs[:length], rng.randrange(0, 6))
 
 
 def assert_same_state(got: System, want: System) -> None:
@@ -189,9 +199,9 @@ def test_warm_then_measure():
 def test_prefetches_at_capacity_edges(start, stride):
     """IP-stride and streamer candidates past either end of memory are
     skipped, not issued."""
-    refs = [MemoryRef(start + i * stride, False, 0x40, 1)
-            for i in range(8) if 0 <= start + i * stride < CAPACITY]
-    check_equivalent(make_config(), [refs, list(reversed(refs))])
+    refs = stream([start + i * stride for i in range(8)
+                   if 0 <= start + i * stride < CAPACITY])
+    check_equivalent(make_config(), [refs, reversed_stream(refs)])
 
 
 @needs_kernel
@@ -199,14 +209,13 @@ def test_inflight_fifo_trims_and_wraps():
     """Short strided bursts scattered over memory leave most prefetches
     unconsumed: the in-flight FIFO fills past its 512-entry limit and is
     trimmed oldest-first thousands of times in one replay."""
-    refs = []
-    for burst in range(1500):
-        base = burst * 7919 * 64 % (CAPACITY - 4096)
-        refs += [MemoryRef(base + i * 64, i == 1, 0x40, 1) for i in range(3)]
+    bases = [burst * 7919 * 64 % (CAPACITY - 4096) for burst in range(1500)]
+    refs = stream([base + i * 64 for base in bases for i in range(3)],
+                  writes=[i == 1 for _ in bases for i in range(3)])
     config = make_config()
-    check_equivalent(config, [refs, refs[::-1]])
+    check_equivalent(config, [refs, reversed_stream(refs)])
     system = fresh(config)
-    native.replay(system, [refs, refs[::-1]])
+    native.replay(system, [refs, reversed_stream(refs)])
     assert len(system.hierarchy._inflight_fills) == 512
     assert system.hierarchy.stats.prefetches_issued > 4 * 512
     assert system.hierarchy.stats.late_prefetch_stalls > 0
@@ -235,10 +244,10 @@ def replay_cases(draw):
     addr = st.one_of(st.integers(0, 24 * 1024 - 1),
                      st.integers(CAPACITY - 1024, CAPACITY - 1),
                      st.integers(0, CAPACITY - 1))
-    ref = st.builds(MemoryRef, addr=addr, is_write=st.booleans(),
-                    pc=st.sampled_from(PCS),
-                    compute_cycles=st.integers(0, 12))
-    streams = [draw(st.lists(ref, max_size=120)) for _ in range(nstreams)]
+    ref = st.tuples(st.sampled_from(PCS), addr, st.booleans())
+    streams = [RefStream.from_refs(draw(st.lists(ref, max_size=120)),
+                                   draw(st.integers(0, 12)))
+               for _ in range(nstreams)]
     return config, streams, draw(st.booleans())
 
 
@@ -333,7 +342,7 @@ def test_world_writable_build_dir_is_refused(tmp_path):
 
 def test_out_of_range_address_raises_like_the_reference():
     streams = two_streams(9)
-    streams[1][150] = MemoryRef(CAPACITY + 64, False, None, 0)
+    streams[1].addr[150] = CAPACITY + 64
     system, twin = fresh(make_config()), fresh(make_config())
     before = system.snapshot().payload
     assert native.replay(system, streams) is None
@@ -351,11 +360,11 @@ import sys
 from pathlib import Path
 from repro.system import System
 from repro.workloads import native
-from repro.workloads.kernels import MemoryRef
+from repro.workloads.kernels import RefStream
 native._BUILD_DIR = Path(sys.argv[1])
 ok, reason = native.available()
 assert ok, reason
-refs = [MemoryRef(64 * i, False, 0x40, 1) for i in range(100)]
+refs = RefStream.from_refs([(0x40, 64 * i, False) for i in range(100)], 1)
 result = native.replay(System(sanitize=False), [refs])
 assert result is not None and result.refs == 100
 print("ok")

@@ -1,5 +1,8 @@
 """Unit and integration tests for graph workloads and the Fig. 11 runner."""
 
+import hashlib
+from array import array
+
 import pytest
 
 from repro import System, SystemConfig
@@ -18,7 +21,7 @@ from repro.workloads import (
     tc_kernel,
     workload_spec,
 )
-from repro.workloads.kernels import Layout
+from repro.workloads.kernels import MAX_COMPUTE, Layout, RefStream
 
 
 def tiny_graph():
@@ -75,30 +78,29 @@ def test_kernels_emit_valid_refs(kernel):
     layout = Layout()
     refs = list(kernel(tiny_graph(), layout))
     assert refs
-    for ref in refs:
-        assert ref.addr >= layout.offsets_base
-        assert ref.compute_cycles >= 0
-        assert isinstance(ref.is_write, bool)
+    for pc, addr, is_write in refs:
+        assert pc >= 0
+        assert addr >= layout.offsets_base
+        assert isinstance(is_write, bool)
 
 
 def test_bfs_visits_whole_connected_graph():
     g = tiny_graph()
     refs = list(bfs_kernel(g, Layout()))
     # Ring seeding makes the graph connected: every node's record is read.
-    data_addrs = {r.addr for r in refs if r.addr >= Layout().data_base}
+    data_addrs = {addr for _, addr, _ in refs if addr >= Layout().data_base}
     assert len(data_addrs) >= g.num_nodes - 1
 
 
 def test_cc_terminates_with_writes():
     refs = list(cc_kernel(tiny_graph(), Layout()))
-    assert any(r.is_write for r in refs)
+    assert any(is_write for _, _, is_write in refs)
 
 
 def test_pagerank_streams_edges_in_order():
     layout = Layout()
-    refs = [r for r in pagerank_kernel(tiny_graph(), layout)
-            if layout.edges_base <= r.addr < layout.data_base]
-    addrs = [r.addr for r in refs]
+    addrs = [addr for _, addr, _ in pagerank_kernel(tiny_graph(), layout)
+             if layout.edges_base <= addr < layout.data_base]
     assert addrs == sorted(addrs)
 
 
@@ -113,6 +115,50 @@ def test_spec_refs_truncation():
     spec = workload_spec("PR")
     refs = spec.refs(max_refs=100)
     assert len(refs) == 100
+    assert refs.compute == spec.compute_cycles
+    full = spec.refs()
+    assert full.addr[:100] == refs.addr and full.pc[:100] == refs.pc
+
+
+#: sha256 of each Fig. 11 stream at ``max_refs=60_000`` (addr, pc, is_write
+#: columns, then the compute gap once per reference), first 16 hex digits.
+STREAM_DIGESTS = {
+    "BC": (50_900, "74c435a5f29a08f4"),
+    "BFS": (60_000, "180f999a8c5d1e05"),
+    "CC": (60_000, "9fe59e4c34ce5d79"),
+    "PR": (60_000, "901429fe8c449dac"),
+    "TC": (60_000, "012e03a013a9f295"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_DIGESTS))
+def test_fig11_streams_are_pinned(name):
+    """Every Fig. 11 number is a function of these streams: a kernel
+    change that moves one reference changes the digest."""
+    refs = workload_spec(name).refs(max_refs=60_000)
+    n = len(refs)
+    digest = hashlib.sha256(
+        refs.addr.tobytes() + refs.pc.tobytes() + bytes(refs.is_write)
+        + array("q", [refs.compute] * n).tobytes()).hexdigest()[:16]
+    assert (n, digest) == STREAM_DIGESTS[name]
+
+
+def test_ref_stream_columns():
+    refs = RefStream.from_refs([(0x40, 64, False), (0x50, 128, True)], 3)
+    assert len(refs) == 2
+    assert list(refs.addr) == [64, 128] and list(refs.pc) == [0x40, 0x50]
+    assert list(refs.is_write) == [0, 1] and refs.compute == 3
+    assert not RefStream.from_refs([], 0)
+
+
+def test_ref_stream_validation():
+    with pytest.raises(ValueError):
+        RefStream(array("q", [0]), array("q"), array("B", [0]), 1)
+    for compute in (-1, MAX_COMPUTE):
+        with pytest.raises(ValueError):
+            RefStream.from_refs([(0x40, 0, False)], compute)
+    with pytest.raises(OverflowError):
+        RefStream.from_refs([(0x40, 1 << 63, False)], 1)
 
 
 # ---------------------------------------------------------------------------

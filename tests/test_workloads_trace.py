@@ -1,24 +1,18 @@
-"""Tests for memory-trace profiling and serialization."""
+"""Tests for memory-trace profiling."""
 
 import pytest
 
 from repro.dram import DRAMGeometry
-from repro.workloads import (
-    load_trace,
-    profile_trace,
-    save_trace,
-    workload_spec,
-)
-from repro.workloads.kernels import MemoryRef
+from repro.workloads import RefStream, profile_trace, workload_spec
 
 GEOM = DRAMGeometry(ranks=1, banks_per_rank=16, rows_per_bank=4096)
 
 
-def sequential_refs(count, start=0, step=64, write_every=0):
-    return [MemoryRef(addr=start + i * step,
-                      is_write=bool(write_every and i % write_every == 0),
-                      pc=0x400, compute_cycles=2)
-            for i in range(count)]
+def sequential_refs(count, start=0, step=64, write_every=0, cycles=1):
+    """``count`` strided touches from one PC, repeated ``cycles`` times."""
+    return RefStream.from_refs(
+        [(0x400, start + i * step, bool(write_every and i % write_every == 0))
+         for i in range(count)] * cycles, 2)
 
 
 def test_sequential_stream_has_high_row_locality():
@@ -51,7 +45,7 @@ def test_write_fraction():
 
 
 def test_reuse_distance_of_cyclic_pattern():
-    refs = sequential_refs(8) * 4  # cycle over 8 lines
+    refs = sequential_refs(8, cycles=4)  # cycle over 8 lines
     profile = profile_trace(refs, geometry=GEOM)
     assert profile.reuse_distance_p50 == 7  # 7 distinct lines in between
     assert profile.distinct_lines == 8
@@ -69,26 +63,3 @@ def test_workload_profiles_match_their_design():
     cc = profile_trace(workload_spec("CC").refs(max_refs=4000), geometry=GEOM)
     assert pr.row_locality > cc.row_locality
     assert "refs" in pr.summary()
-
-
-def test_trace_roundtrip(tmp_path):
-    refs = sequential_refs(32, write_every=3)
-    path = str(tmp_path / "trace.jsonl")
-    assert save_trace(refs, path) == 32
-    loaded = load_trace(path)
-    assert loaded == refs
-
-
-def test_trace_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text('{"addr": 1}\n')
-    with pytest.raises(ValueError):
-        load_trace(str(path))
-
-
-def test_trace_load_skips_blank_lines(tmp_path):
-    refs = sequential_refs(4)
-    path = tmp_path / "trace.jsonl"
-    save_trace(refs, str(path))
-    path.write_text(path.read_text() + "\n\n")
-    assert load_trace(str(path)) == refs
